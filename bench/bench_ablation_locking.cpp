@@ -13,8 +13,8 @@ int main() {
   const CnnModel model = make_lenet5();
   const ModelImpl impl = choose_implementation(model, 200);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
+  CheckpointStore store;
+  CompileService service(device, store);
 
   Table table("Ablation C: logic locking of pre-implemented components");
   table.set_header({"configuration", "nets routed online", "route time (s)",
@@ -22,8 +22,7 @@ int main() {
 
   // Locked (the paper's flow).
   {
-    ComposedDesign composed;
-    const PreImplReport report = run_preimpl_cnn(device, model, impl, groups, db, composed);
+    const PreImplReport report = service.compile(model, impl, groups).report;
     table.add_row({"locked (paper flow)", std::to_string(report.route.nets_routed),
                    Table::fmt(report.route_seconds, 3),
                    Table::fmt(report.timing.fmax_mhz, 1)});
@@ -32,8 +31,7 @@ int main() {
   // route the whole design from scratch (Vivado would also re-place; we
   // keep placement to isolate the routing effect).
   {
-    ComposedDesign composed;
-    PreImplReport report = run_preimpl_cnn(device, model, impl, groups, db, composed);
+    ComposedDesign composed = service.compile(model, impl, groups).design;
     for (NetId n = 0; n < composed.netlist.net_count(); ++n) {
       composed.netlist.net(n).routing_locked = false;
       composed.phys.routes[n] = RouteInfo{};

@@ -38,9 +38,12 @@ int main() {
     opt.seed = 23;
     const OocResult a = implement_ooc(device, conv_block("a"), opt);
     const OocResult b = implement_ooc(device, conv_block("b"), opt);
+    ComponentGraph chain;
+    chain.nodes = {&a.checkpoint, &b.checkpoint};
+    chain.names = {"a0", "b0"};
+    chain.edges = {StreamEdge{0, 1, 0, 0}};
     ComposedDesign composed;
-    const PreImplReport report = run_preimpl_flow(
-        device, {&a.checkpoint, &b.checkpoint}, {"a0", "b0"}, composed);
+    const PreImplReport report = run_preimpl_flow(device, chain, composed);
     table.add_row({planned ? "boundary (planned)" : "random interior",
                    Table::fmt(std::min(a.timing.fmax_mhz, b.timing.fmax_mhz), 1),
                    Table::fmt(report.timing.fmax_mhz, 1),

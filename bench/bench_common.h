@@ -5,11 +5,14 @@
 
 #include <array>
 #include <cstdio>
+#include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/compiled.h"
 #include "sim/simulator.h"
 #include "util/json.h"
@@ -23,19 +26,25 @@ struct NetworkRun {
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
-  DbBuildReport db_build;  // parallel pre-implementation wall/CPU times
-  double function_opt_wall = 0.0;
+  // The pre-implemented components by store key, pinned from the session.
+  std::map<std::string, std::shared_ptr<const Checkpoint>> components;
+  double function_opt_wall = 0.0;  // component resolution, builds included
 
   ComposedDesign composed;
   PreImplReport pre;
 
   MonoReport mono;
   NetlistStats flat_stats;
+
+  /// The pre-implemented checkpoint of one group.
+  const Checkpoint* component(const std::vector<int>& group) const {
+    return components.at(group_signature(model, impl, group)).get();
+  }
 };
 
-/// Builds the database (components pre-implemented in parallel on `pool`,
-/// the global pool when null) and runs both flows for a model.
+/// Compiles the model through a memory-only CompileService (components
+/// pre-implemented in parallel on `pool`, the global pool when null) and
+/// runs the monolithic flow for comparison.
 inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_budget,
                               int max_tile = 28, ThreadPool* pool = nullptr) {
   NetworkRun run;
@@ -43,11 +52,20 @@ inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_bud
   run.impl = choose_implementation(run.model, dsp_budget, max_tile);
   run.groups = default_grouping(run.model);
 
-  prepare_component_db(device, run.model, run.impl, run.groups, run.db, {}, 1000, pool,
-                       &run.db_build);
-  run.function_opt_wall = run.db_build.wall_seconds;
-
-  run.pre = run_preimpl_cnn(device, run.model, run.impl, run.groups, run.db, run.composed);
+  CheckpointStore store;
+  ServiceOptions service_opt;
+  service_opt.pool = pool;
+  CompileService service(device, store, service_opt);
+  CompileService::SessionResult session = service.compile(run.model, run.impl, run.groups);
+  run.function_opt_wall = session.ensure_seconds;
+  run.pre = session.report;
+  run.composed = std::move(session.design);
+  for (const ComponentRequest& request : component_requests(run.model, run.impl, run.groups)) {
+    run.components[request.key] = store.get(request.key, device);
+    if (!run.components[request.key]) {
+      throw std::runtime_error("run_network: '" + request.key + "' left the store cache");
+    }
+  }
 
   Netlist flat = build_flat_netlist(run.model, run.impl, run.groups);
   run.flat_stats = flat.stats();

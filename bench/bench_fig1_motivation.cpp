@@ -33,19 +33,20 @@ int main() {
   for (const auto& [app, paper_gains] : paper) {
     // Pre-implemented: one OOC block, replicated by relocation.
     const OocResult ooc = implement_ooc(device, make_kernel_component(app, to_string(app)));
-    std::vector<const Checkpoint*> chain(kReplicas, &ooc.checkpoint);
-    std::vector<std::string> names;
+    ComponentGraph chain;
     for (int i = 0; i < kReplicas; ++i) {
-      names.push_back(std::string(to_string(app)) + std::to_string(i));
+      chain.nodes.push_back(&ooc.checkpoint);
+      chain.names.push_back(std::string(to_string(app)) + std::to_string(i));
+      if (i > 0) chain.edges.push_back(StreamEdge{i - 1, i, 0, 0});
     }
     ComposedDesign composed;
-    const PreImplReport pre = run_preimpl_flow(device, chain, names, composed);
+    const PreImplReport pre = run_preimpl_flow(device, chain, composed);
 
     // Classic: flat netlist of 9 blocks.
     std::vector<Netlist> blocks;
     std::vector<const Netlist*> pointers;
     for (int i = 0; i < kReplicas; ++i) {
-      blocks.push_back(make_kernel_component(app, names[static_cast<std::size_t>(i)]));
+      blocks.push_back(make_kernel_component(app, chain.names[static_cast<std::size_t>(i)]));
     }
     for (const Netlist& block : blocks) pointers.push_back(&block);
     Netlist flat = stitch_chain(pointers, std::string(to_string(app)) + "_flat");

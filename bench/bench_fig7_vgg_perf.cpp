@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   double slowest = 0.0;
   long total_cycles = 0;
   for (const auto& group : run.groups) {
-    const Checkpoint* cp = run.db.get(group_signature(run.model, run.impl, group));
+    const Checkpoint* cp = run.component(group);
     const ComponentLatency lat = group_latency(run.model, run.impl, group, cp->meta.fmax_mhz);
     table.add_row({cp->netlist.name(), Table::fmt(cp->meta.fmax_mhz, 1),
                    Table::fmt(lat.latency_us() / 1000.0, 3)});

@@ -89,10 +89,9 @@ int main(int argc, char** argv) {
     const CnnModel model = entry.make();
     const ModelImpl impl = choose_implementation(model, entry.dsp_budget, entry.max_tile);
     const auto groups = default_grouping(model);
-    CheckpointDb db;
-    prepare_component_db(device, model, impl, groups, db);
-    ComposedDesign composed;
-    run_preimpl_cnn(device, model, impl, groups, db, composed);
+    CheckpointStore store;
+    CompileService service(device, store);
+    const ComposedDesign composed = service.compile(model, impl, groups).design;
 
     const std::uint64_t plans_before = SimPlan::plans_compiled();
     const auto plan = SimPlan::compile(composed.netlist);

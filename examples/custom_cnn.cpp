@@ -10,7 +10,7 @@
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "util/table.h"
 
 using namespace fpgasim;
@@ -56,13 +56,15 @@ int main(int argc, char** argv) {
   const ModelImpl impl = choose_implementation(model, dsp_budget);
   const auto groups = default_grouping(model);
 
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  const PreImplReport& pre = session.report;
 
   Table components("pre-implemented components");
   components.set_header({"component", "Fmax (MHz)", "DSP", "latency (us @ own clock)"});
   for (const auto& group : groups) {
-    const Checkpoint* cp = db.get(group_signature(model, impl, group));
+    const auto cp = store.get(group_signature(model, impl, group), device);
     const ComponentLatency lat = group_latency(model, impl, group, cp->meta.fmax_mhz);
     long dsp = 0;
     for (int idx : group) dsp += impl.layers[static_cast<std::size_t>(idx)].dsp_count();
@@ -71,8 +73,6 @@ int main(int argc, char** argv) {
   }
   components.print();
 
-  ComposedDesign accelerator;
-  const PreImplReport pre = run_preimpl_cnn(device, model, impl, groups, db, accelerator);
   Netlist flat = build_flat_netlist(model, impl, groups);
   PhysState flat_phys;
   const MonoReport mono = run_monolithic_flow(device, flat, flat_phys);

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "flow/build.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -28,16 +28,16 @@ conv c2 out=2 k=3
   const ModelImpl impl = choose_implementation(model, /*dsp_budget=*/16);
   const auto groups = default_grouping(model);
 
-  // 3. Function optimization: pre-implement each component OOC once.
-  CheckpointDb db;
-  const std::size_t built = prepare_component_db(device, model, impl, groups, db);
-  std::printf("function optimization: %zu components built, %.2fs total\n", built,
-              db.total_implement_seconds());
-
+  // 3. Function optimization: pre-implement each component OOC once into
+  //    a (memory-only) checkpoint store.
   // 4. Architecture optimization: match, stitch, relocate, route.
-  ComposedDesign accelerator;
-  const PreImplReport report =
-      run_preimpl_cnn(device, model, impl, groups, db, accelerator);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  std::printf("function optimization: %zu components built, %.2fs total\n", session.built,
+              session.ensure_seconds);
+  const ComposedDesign& accelerator = session.design;
+  const PreImplReport& report = session.report;
 
   Table table("quickstart accelerator");
   table.set_header({"metric", "value"});

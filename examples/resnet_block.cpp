@@ -2,14 +2,14 @@
 // example. A conv feeds both a skip edge and a conv-conv branch that
 // re-join in a streaming element-wise add — so the component graph needs
 // a stream fork, two-input join matching, and DFG-aware relocation
-// placement. Builds the checkpoint database (groups + fork), runs the
+// placement. Fills a checkpoint store (groups + fork), runs the
 // pre-implemented and monolithic flows, and pushes a tensor through the
 // composed accelerator against the golden reference.
 #include <cstdio>
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -27,13 +27,13 @@ int main(int argc, char** argv) {
   std::printf("residual block as an arch-def (note the from= edges):\n%s\n",
               to_arch_def(model).c_str());
 
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  std::printf("component database: %zu checkpoints (%zu groups + stream fork)\n",
-              db.size(), groups.size());
-
-  ComposedDesign accelerator;
-  const PreImplReport pre = run_preimpl_cnn(device, model, impl, groups, db, accelerator);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  const PreImplReport& pre = session.report;
+  const ComposedDesign& accelerator = session.design;
+  std::printf("component store: %zu checkpoints (%zu groups + stream fork)\n",
+              session.components, groups.size());
 
   Netlist flat = build_flat_netlist(model, impl, groups);
   PhysState flat_phys;

@@ -11,7 +11,7 @@
 #include "cnn/zoo.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -30,16 +30,15 @@ int main(int argc, char** argv) {
   std::printf("u-net as an arch-def (upsample + skip concat):\n%s\n",
               to_arch_def(model).c_str());
 
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  std::printf("component database: %zu checkpoints (%zu groups + stream fork)\n",
-              db.size(), groups.size());
-
   PreImplOptions popt;
   popt.lint = true;
-  ComposedDesign accelerator;
-  const PreImplReport pre = run_preimpl_cnn(device, model, impl, groups, db,
-                                            accelerator, popt);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups, popt);
+  const PreImplReport& pre = session.report;
+  const ComposedDesign& accelerator = session.design;
+  std::printf("component store: %zu checkpoints (%zu groups + stream fork)\n",
+              session.components, groups.size());
 
   MonoOptions mopt;
   mopt.lint = true;

@@ -139,29 +139,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   return report;
 }
 
-PreImplReport run_preimpl_flow(const Device& device,
-                               const std::vector<const Checkpoint*>& chain,
-                               const std::vector<std::string>& instance_names,
-                               ComposedDesign& out, const PreImplOptions& opt) {
-  ComponentGraph graph;
-  graph.nodes = chain;
-  graph.names = instance_names;
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    graph.edges.push_back(StreamEdge{static_cast<int>(i), static_cast<int>(i + 1), 0, 0});
-  }
-  return run_preimpl_flow(device, graph, out, opt);
-}
-
-PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
-                              const ModelImpl& impl,
-                              const std::vector<std::vector<int>>& groups,
-                              const CheckpointDb& db, ComposedDesign& out,
-                              const PreImplOptions& opt, std::uint64_t seed_base) {
-  return run_preimpl_cnn(
-      device, model, impl, groups,
-      [&db](const std::string& key) { return db.get(key); }, out, opt, seed_base);
-}
-
 PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
                               const ModelImpl& impl,
                               const std::vector<std::vector<int>>& groups,
@@ -192,7 +169,7 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
         }
         throw std::runtime_error("component matching failed for group [" + layers +
                                  "]: no checkpoint for '" + key +
-                                 "' (run prepare_component_db first)");
+                                 "' (resolve components with CompileService::compile)");
       }
       graph.nodes.push_back(checkpoint);
       graph.names.push_back(checkpoint->netlist.name());
@@ -202,7 +179,7 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
       if (checkpoint == nullptr) {
         throw std::runtime_error("component matching failed: no checkpoint for the " +
                                  std::to_string(node.branches) + "-way stream fork '" +
-                                 key + "' (run prepare_component_db first)");
+                                 key + "' (resolve components with CompileService::compile)");
       }
       graph.nodes.push_back(checkpoint);
       // Fork checkpoints are shared across fan-out sites; suffix the node

@@ -32,12 +32,6 @@ std::size_t resolve_cache_bytes(std::size_t requested) {
   return kDefaultCacheBytes;
 }
 
-std::string resolve_dir(const std::string& requested) {
-  if (!requested.empty()) return requested;
-  if (const char* env = std::getenv("FPGASIM_STORE_DIR")) return env;
-  return {};
-}
-
 std::size_t file_bytes(const std::string& path) {
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
@@ -81,7 +75,7 @@ Hash128 CheckpointStore::content_hash(const std::string& key, const std::string&
 }
 
 CheckpointStore::CheckpointStore(StoreOptions opt)
-    : dir_(resolve_dir(opt.dir)),
+    : dir_(opt.dir),
       cache_budget_(resolve_cache_bytes(opt.cache_bytes)),
       lint_(opt.lint) {
   const std::size_t shard_count = opt.shards > 0 ? opt.shards : 1;
@@ -220,9 +214,9 @@ std::shared_ptr<const Checkpoint> CheckpointStore::load_entry(const Hash128& has
   try {
     const std::string path = entry_path(hash);
     Checkpoint cp = load_checkpoint(path);
-    // Same gates as CheckpointDb::load_dir: a store entry only becomes
-    // usable content if it passes the checkpoint DRC (device-dependent
-    // rules run at use time) and, opt-in, fpgalint.
+    // A store entry only becomes usable content if it passes the
+    // checkpoint DRC (device-dependent rules run at use time) and, opt-in,
+    // fpgalint.
     enforce_drc(run_checkpoint_drc(cp), "store load '" + key + "' (" + path + ")");
     if (lint_) {
       lint::enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");

@@ -31,10 +31,10 @@ namespace fpgasim {
 std::string fabric_signature(const Device& device);
 
 struct StoreOptions {
-  /// On-disk root directory. Empty selects the FPGASIM_STORE_DIR
-  /// environment variable; when that is unset too, the store runs
-  /// memory-only (the cache is then authoritative, and an eviction loses
-  /// the entry — fine for tests, not for a shared database).
+  /// On-disk root directory. Empty runs the store memory-only (the cache
+  /// is then authoritative, and an eviction loses the entry — fine for
+  /// tests and one-shot tools, not for a shared database). No environment
+  /// variable overrides this; fpgadb reads FPGASIM_STORE_DIR itself.
   std::string dir;
   /// In-memory cache byte budget. 0 selects FPGASIM_STORE_CACHE_BYTES
   /// (bytes) when set, else 256 MiB. The budget is split evenly across

@@ -2,6 +2,7 @@
 
 #include "flow/build.h"
 #include "flow/compose.h"
+#include "route/router.h"
 #include "sim/simulator.h"
 #include "stream_harness.h"
 #include "synth/layers.h"

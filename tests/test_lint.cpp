@@ -8,7 +8,7 @@
 #include "cnn/model.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "lint/lint.h"
 #include "synth/builder.h"
 
@@ -294,30 +294,39 @@ TEST(Lint, StitchBoundaryWidthMismatchNamesInstances) {
 
 // -- the false-positive contract ---------------------------------------------
 
+/// Service options with the OOC lint gate on: it runs over every
+/// checkpoint as it is built.
+ServiceOptions linted_builds() {
+  ServiceOptions opt;
+  opt.ooc.lint = true;
+  return opt;
+}
+
 struct CleanFlow {
   Device device = make_xcku5p_sim();
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
+  CheckpointStore store;
+  CompileService service{device, store, linted_builds()};
 
   explicit CleanFlow(CnnModel m, long dsp_budget, int max_tile = 32) : model(std::move(m)) {
     impl = choose_implementation(model, dsp_budget, max_tile);
     groups = default_grouping(model);
-    // The OOC lint gate runs over every checkpoint as it is built.
-    OocOptions ooc;
-    ooc.lint = true;
-    prepare_component_db(device, model, impl, groups, db, ooc);
+  }
+
+  /// The pre-implemented flow with the composed-design lint gate on (the
+  /// gate throws on error findings).
+  PreImplReport linted_preimpl() {
+    PreImplOptions opt;
+    opt.lint = true;
+    return service.compile(model, impl, groups, opt).report;
   }
 };
 
 TEST(LintClean, LeNetPreImplAndMonolithic) {
   CleanFlow f(make_lenet5(), 64);
-  ComposedDesign composed;
-  PreImplOptions opt;
-  opt.lint = true;  // gate throws on error findings
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport pre = f.linted_preimpl();
   EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
   EXPECT_GE(pre.lint.rules_run(), 9u);
 
@@ -331,22 +340,14 @@ TEST(LintClean, LeNetPreImplAndMonolithic) {
 
 TEST(LintClean, ResblockPreImpl) {
   CleanFlow f(make_resblock_net(), 64);
-  ComposedDesign composed;
-  PreImplOptions opt;
-  opt.lint = true;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport pre = f.linted_preimpl();
   EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
 }
 
 TEST(LintClean, Vgg16PreImpl) {
   // The VGG example's quick configuration (small tiles, streamed weights).
   CleanFlow f(make_vgg16(), 384, 14);
-  ComposedDesign composed;
-  PreImplOptions opt;
-  opt.lint = true;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport pre = f.linted_preimpl();
   EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
 }
 
@@ -360,9 +361,8 @@ pool p1 k=2 relu
 conv c2 out=2 k=3
 )"),
               12);
-  ComposedDesign first, second;
-  run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, first);
-  run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, second);
+  const ComposedDesign first = f.service.compile(f.model, f.impl, f.groups).design;
+  const ComposedDesign second = f.service.compile(f.model, f.impl, f.groups).design;
   const std::string json_a = lint::run(first.netlist).to_json();
   const std::string json_b = lint::run(second.netlist).to_json();
   EXPECT_EQ(json_a, json_b);

@@ -1,8 +1,8 @@
-// Determinism contract of the parallel component-database build
-// (prepare_component_db): every thread-pool width must produce the same
-// checkpoints, byte for byte once the recorded wall-times — measurements,
-// not results — are normalized out. Seeds derive from the dedup index
-// alone, so scheduling order cannot leak into the output.
+// Determinism contract of the parallel component build (CompileService):
+// every build-pool width must produce the same store entries, byte for
+// byte once the recorded wall-times — measurements, not results — are
+// normalized out. Seeds derive from each component's content hash alone,
+// so scheduling order cannot leak into the output.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "flow/build.h"
+#include "flow/service.h"
 
 namespace fpgasim {
 namespace {
@@ -20,16 +21,6 @@ std::string slurp(const std::filesystem::path& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-/// All .fdcp files of a directory: file name -> contents.
-std::map<std::string, std::string> dir_bytes(const std::filesystem::path& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".fdcp") continue;
-    files[entry.path().filename().string()] = slurp(entry.path());
-  }
-  return files;
 }
 
 struct ParallelBuildFixture {
@@ -53,98 +44,66 @@ pool p2 k=2
     groups = default_grouping(model);
   }
 
-  /// Builds the database on `width` workers and persists it with
+  /// Compiles the model into a fresh memory-only store on `width` build
+  /// workers and returns every entry's serialized bytes by store key, with
   /// implement_seconds zeroed (wall time is the one legitimately
   /// nondeterministic field of a checkpoint).
-  std::map<std::string, std::string> build(std::size_t width, DbBuildReport* report) {
+  std::map<std::string, std::string> build(std::size_t width) {
     ThreadPool pool(width);
-    CheckpointDb db;
-    prepare_component_db(device, model, impl, groups, db, {}, 1000, &pool, report);
-    CheckpointDb normalized;
-    for (const std::string& key : db.keys()) {
-      Checkpoint copy = *db.get(key);
-      copy.meta.implement_seconds = 0.0;
-      normalized.put(key, std::move(copy));
-    }
-    const std::filesystem::path dir =
+    CheckpointStore store;
+    ServiceOptions opt;
+    opt.pool = &pool;
+    CompileService service(device, store, opt);
+    const CompileService::SessionResult session = service.compile(model, impl, groups);
+    EXPECT_EQ(session.built, session.components) << "width " << width;
+
+    const std::filesystem::path file =
         std::filesystem::path(::testing::TempDir()) /
-        ("fpgasim_par_db_w" + std::to_string(width));
-    std::filesystem::remove_all(dir);
-    normalized.save_dir(dir.string());
-    auto bytes = dir_bytes(dir);
-    std::filesystem::remove_all(dir);
-    return bytes;
+        ("fpgasim_par_entry_w" + std::to_string(width) + ".fdcp");
+    std::map<std::string, std::string> entries;
+    for (const ComponentRequest& request : component_requests(model, impl, groups)) {
+      const auto checkpoint = store.get(request.key, device);
+      if (checkpoint == nullptr) {
+        ADD_FAILURE() << "missing " << request.key << " at width " << width;
+        continue;
+      }
+      Checkpoint copy = *checkpoint;
+      copy.meta.implement_seconds = 0.0;
+      save_checkpoint(file.string(), copy);
+      entries[request.key] = slurp(file);
+    }
+    std::filesystem::remove(file);
+    return entries;
+  }
+
+  void expect_identical_across_widths(std::size_t components) {
+    const auto serial = build(1);
+    ASSERT_EQ(serial.size(), components);
+    for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
+      const auto parallel = build(width);
+      ASSERT_EQ(parallel.size(), serial.size()) << "width " << width;
+      for (const auto& [key, bytes] : serial) {
+        const auto it = parallel.find(key);
+        ASSERT_NE(it, parallel.end()) << "missing " << key << " at width " << width;
+        EXPECT_EQ(it->second, bytes) << "checkpoint " << key << " differs at width " << width;
+      }
+    }
   }
 };
 
 TEST(ParallelBuild, DatabaseIsByteIdenticalAcrossThreadCounts) {
   ParallelBuildFixture fixture;
-  DbBuildReport serial_report;
-  const auto serial = fixture.build(1, &serial_report);
-  EXPECT_EQ(serial_report.implemented, 4u);
-  EXPECT_EQ(serial_report.threads, 1u);
-  EXPECT_GT(serial_report.wall_seconds, 0.0);
-  EXPECT_GT(serial_report.cpu_seconds, 0.0);
-  ASSERT_EQ(serial.size(), 4u);
-
-  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
-    DbBuildReport report;
-    const auto parallel = fixture.build(width, &report);
-    EXPECT_EQ(report.threads, width);
-    EXPECT_EQ(report.implemented, 4u);
-    ASSERT_EQ(parallel.size(), serial.size()) << "width " << width;
-    for (const auto& [name, bytes] : serial) {
-      const auto it = parallel.find(name);
-      ASSERT_NE(it, parallel.end()) << "missing " << name << " at width " << width;
-      EXPECT_EQ(it->second, bytes)
-          << "checkpoint " << name << " differs at width " << width;
-    }
-  }
+  fixture.expect_identical_across_widths(4);
 }
 
 TEST(ParallelBuild, BranchingModelDatabaseIsByteIdenticalAcrossThreadCounts) {
-  // The resblock database adds join components and a stream fork to the
-  // work list; fork seeds derive from their position after the group keys,
-  // so pool width must still not leak into any checkpoint.
+  // The resblock adds join components and a stream fork to the work list;
+  // pool width must still not leak into any checkpoint.
   ParallelBuildFixture fixture;
   fixture.model = make_resblock_net();
   fixture.impl = choose_implementation(fixture.model, 16);
   fixture.groups = default_grouping(fixture.model);
-
-  DbBuildReport serial_report;
-  const auto serial = fixture.build(1, &serial_report);
-  // 6 groups + the 2-way fork.
-  EXPECT_EQ(serial_report.implemented, 7u);
-  ASSERT_EQ(serial.size(), 7u);
-
-  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
-    DbBuildReport report;
-    const auto parallel = fixture.build(width, &report);
-    EXPECT_EQ(report.implemented, 7u);
-    ASSERT_EQ(parallel.size(), serial.size()) << "width " << width;
-    for (const auto& [name, bytes] : serial) {
-      const auto it = parallel.find(name);
-      ASSERT_NE(it, parallel.end()) << "missing " << name << " at width " << width;
-      EXPECT_EQ(it->second, bytes)
-          << "checkpoint " << name << " differs at width " << width;
-    }
-  }
-}
-
-TEST(ParallelBuild, CacheHitsSkipReimplementation) {
-  ParallelBuildFixture fixture;
-  ThreadPool pool(2);
-  CheckpointDb db;
-  EXPECT_EQ(prepare_component_db(fixture.device, fixture.model, fixture.impl,
-                                 fixture.groups, db, {}, 1000, &pool),
-            4u);
-  // Second run: everything is already in the database.
-  DbBuildReport report;
-  EXPECT_EQ(prepare_component_db(fixture.device, fixture.model, fixture.impl,
-                                 fixture.groups, db, {}, 1000, &pool, &report),
-            0u);
-  EXPECT_EQ(report.implemented, 0u);
-  EXPECT_EQ(db.size(), 4u);
+  fixture.expect_identical_across_widths(7);  // 6 groups + the 2-way fork
 }
 
 }  // namespace

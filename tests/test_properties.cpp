@@ -1,5 +1,5 @@
 // Cross-module property tests: determinism of every CAD stage under a
-// fixed seed, and end-to-end integrity of the checkpoint database when it
+// fixed seed, and end-to-end integrity of the checkpoint store when it
 // round-trips through disk before composition.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "stream_harness.h"
 
 namespace fpgasim {
@@ -47,11 +47,10 @@ TEST(Determinism, PreImplFlowIsSeedStable) {
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ComposedDesign d1, d2;
-  const PreImplReport r1 = run_preimpl_cnn(device, model, impl, groups, db, d1);
-  const PreImplReport r2 = run_preimpl_cnn(device, model, impl, groups, db, d2);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const PreImplReport r1 = service.compile(model, impl, groups).report;
+  const PreImplReport r2 = service.compile(model, impl, groups).report;
   EXPECT_DOUBLE_EQ(r1.timing.fmax_mhz, r2.timing.fmax_mhz);
   EXPECT_EQ(r1.macro.offsets, r2.macro.offsets);
 }
@@ -71,28 +70,33 @@ TEST(Determinism, MonolithicFlowIsSeedStable) {
 }
 
 TEST(Integration, DatabaseDiskRoundTripComposesAndSimulates) {
-  // Save the component database to disk, reload it into a fresh database,
-  // run the architecture optimization from the reloaded checkpoints, and
-  // prove the composed accelerator still computes the network bit-exactly.
+  // Build the components into a persistent store, reopen the directory in
+  // a fresh store, run the architecture optimization from the reloaded
+  // checkpoints, and prove the composed accelerator still computes the
+  // network bit-exactly.
   const std::string dir = testing::TempDir() + "/prop_db";
   std::filesystem::remove_all(dir);
   const Device device = make_xcku5p_sim();
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
+  StoreOptions store_opt;
+  store_opt.dir = dir;
 
   {
-    CheckpointDb db;
-    prepare_component_db(device, model, impl, groups, db);
-    db.save_dir(dir);
+    CheckpointStore store(store_opt);
+    CompileService service(device, store);
+    ASSERT_EQ(service.compile(model, impl, groups).built, groups.size());
   }
-  CheckpointDb reloaded;
-  ASSERT_EQ(reloaded.load_dir(dir), groups.size());
+  CheckpointStore reloaded(store_opt);
+  ASSERT_EQ(reloaded.stats().entries, groups.size());
+  CompileService service(device, reloaded);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  EXPECT_EQ(session.built, 0u);
+  EXPECT_EQ(reloaded.stats().disk_loads, groups.size());
 
-  ComposedDesign composed;
-  const PreImplReport report =
-      run_preimpl_cnn(device, model, impl, groups, reloaded, composed);
-  ASSERT_TRUE(report.route.success);
+  const ComposedDesign& composed = session.design;
+  ASSERT_TRUE(session.report.route.success);
   ASSERT_TRUE(composed.netlist.validate().empty());
 
   const Tensor input = random_tensor(2, 8, 8, 555);
@@ -100,6 +104,7 @@ TEST(Integration, DatabaseDiskRoundTripComposesAndSimulates) {
   Simulator sim(composed.netlist);
   const auto out = run_stream(sim, input.data, expected.size());
   expect_tensor_eq(out, expected);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Property, ArchDefRoundTripIsIdentity) {
@@ -315,10 +320,9 @@ TEST(Integration, RelocatedCheckpointStaysWithinDevice) {
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ComposedDesign composed;
-  run_preimpl_cnn(device, model, impl, groups, db, composed);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const ComposedDesign composed = service.compile(model, impl, groups).design;
   for (const auto& inst : composed.instances) {
     EXPECT_GE(inst.footprint.x0, 0);
     EXPECT_LT(inst.footprint.x1, device.width());
@@ -343,10 +347,9 @@ TEST(Integration, RouterRespectsCapacityOnComposedDesign) {
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ComposedDesign composed;
-  const PreImplReport report = run_preimpl_cnn(device, model, impl, groups, db, composed);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const PreImplReport report = service.compile(model, impl, groups).report;
   EXPECT_EQ(report.route.max_overuse, 0) << "composed design left overused channels";
 }
 

@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "flow/build.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "route/router.h"
 #include "synth/builder.h"
 
@@ -131,15 +132,16 @@ TEST(RouteDeterminism, LenetPreImplRoutingIsByteIdenticalAcrossWidths) {
   const CnnModel model = make_lenet5();
   const ModelImpl impl = choose_implementation(model, 200);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
+  CheckpointStore store;
+  CompileService service(device, store);
+  service.compile(model, impl, groups);
 
   Composer composer("det_lenet");
-  std::vector<const Checkpoint*> chain;
+  std::vector<std::shared_ptr<const Checkpoint>> chain;
   for (const auto& group : groups) {
-    const Checkpoint* cp = db.get(group_signature(model, impl, group));
+    auto cp = store.get(group_signature(model, impl, group), device);
     ASSERT_NE(cp, nullptr);
-    chain.push_back(cp);
+    chain.push_back(std::move(cp));
   }
   for (std::size_t i = 0; i < chain.size(); ++i) {
     composer.add_instance(*chain[i], "inst" + std::to_string(i), i);

@@ -5,6 +5,7 @@
 // at any build-pool width.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -272,30 +273,61 @@ TEST(CompileService, ConcurrentSessionsMatchSerialByteForByte) {
 }
 
 TEST(CompileService, RestartResolvesEverythingFromTheStore) {
+  // Both model inputs — a chain and a branching DFG whose store also holds
+  // a stream-fork checkpoint — survive a restart byte for byte.
   ServiceFixture fixture;
   const std::string dir = fresh_dir("restart");
   StoreOptions opt;
   opt.dir = dir;
-  std::string first_print;
+  const std::vector<const ServiceFixture::Spec*> specs{&fixture.chain, &fixture.branch};
+  std::vector<std::string> first_prints;
   {
     CheckpointStore store(opt);
     CompileService service(fixture.device, store);
-    const auto result =
-        service.compile(fixture.chain.model, fixture.chain.impl, fixture.chain.groups);
-    EXPECT_EQ(result.built, result.components);
-    first_print = design_fingerprint(result.design);
+    for (const ServiceFixture::Spec* spec : specs) {
+      const auto result = service.compile(spec->model, spec->impl, spec->groups);
+      EXPECT_EQ(result.built, result.components);
+      first_prints.push_back(design_fingerprint(result.design));
+    }
   }
   {
     // Simulated restart: new store, new service, same directory. Nothing
-    // is rebuilt and the composed design is byte-identical.
+    // is rebuilt and the composed designs are byte-identical.
     CheckpointStore store(opt);
+    EXPECT_EQ(store.stats().entries, fixture.unique_components(specs));
+    EXPECT_TRUE(store.contains(fork_signature(2), fixture.device));
     CompileService service(fixture.device, store);
-    const auto result =
-        service.compile(fixture.chain.model, fixture.chain.impl, fixture.chain.groups);
-    EXPECT_EQ(result.built, 0u);
-    EXPECT_EQ(result.store_hits, result.components);
-    EXPECT_EQ(design_fingerprint(result.design), first_print);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto result = service.compile(specs[i]->model, specs[i]->impl, specs[i]->groups);
+      EXPECT_EQ(result.built, 0u);
+      EXPECT_EQ(result.store_hits, result.components);
+      EXPECT_EQ(design_fingerprint(result.design), first_prints[i]) << "model " << i;
+    }
+    EXPECT_EQ(store.stats().disk_loads, fixture.unique_components(specs));
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, EmptyDirIsMemoryOnlyEvenWithTheStoreDirVariableSet) {
+  // Only fpgadb reads FPGASIM_STORE_DIR; a library caller asking for a
+  // memory-only store must get one whatever the environment says.
+  const char* previous = std::getenv("FPGASIM_STORE_DIR");
+  const std::string saved = previous != nullptr ? previous : "";
+  const std::string dir = fresh_dir("env");
+  ::setenv("FPGASIM_STORE_DIR", dir.c_str(), 1);
+  bool persistent = true;
+  {
+    CheckpointStore store(StoreOptions{});
+    persistent = store.persistent();
+  }
+  const bool created = std::filesystem::exists(dir);
+  if (previous != nullptr) {
+    ::setenv("FPGASIM_STORE_DIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("FPGASIM_STORE_DIR");
+  }
+  EXPECT_FALSE(persistent);
+  EXPECT_FALSE(created) << "a memory-only store must not create " << dir;
   std::filesystem::remove_all(dir);
 }
 

@@ -10,7 +10,7 @@
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/compiled.h"
 #include "stream_harness.h"
 #include "synth/builder.h"
@@ -219,15 +219,15 @@ struct FlowPair {
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
   ComposedDesign composed;
   Netlist flat;
 
   explicit FlowPair(CnnModel m, long dsp_budget, int max_tile = 28) : model(std::move(m)) {
     impl = choose_implementation(model, dsp_budget, max_tile);
     groups = default_grouping(model);
-    prepare_component_db(device, model, impl, groups, db);
-    run_preimpl_cnn(device, model, impl, groups, db, composed);
+    CheckpointStore store;
+    CompileService service(device, store);
+    composed = service.compile(model, impl, groups).design;
     flat = build_flat_netlist(model, impl, groups);
     PhysState phys;
     run_monolithic_flow(device, flat, phys);

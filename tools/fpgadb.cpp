@@ -19,6 +19,7 @@
 // errors, hash mismatch), 2 = usage error or an entry that failed to load.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <map>
 #include <string>
@@ -261,6 +262,11 @@ int main(int argc, char** argv) {
   if (command.empty()) {
     usage(stderr);
     return 2;
+  }
+  // The store library never reads the environment (an empty directory is
+  // always memory-only); the CLI's default directory lives here.
+  if (dir.empty()) {
+    if (const char* env = std::getenv("FPGASIM_STORE_DIR")) dir = env;
   }
   StoreOptions options;
   options.dir = dir;

@@ -19,8 +19,7 @@
 
 #include "cnn/model.h"
 #include "cnn/zoo.h"
-#include "flow/build.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "lint/lint.h"
 #include "netlist/checkpoint.h"
 #include "util/json.h"
@@ -141,11 +140,9 @@ int main(int argc, char** argv) {
     const Device device = make_xcku5p_sim();
     const ModelImpl impl = choose_implementation(model, dsp_budget, max_tile);
     const std::vector<std::vector<int>> groups = default_grouping(model);
-    CheckpointDb db;
-    prepare_component_db(device, model, impl, groups, db);
-    ComposedDesign composed;
-    PreImplOptions opt;
-    run_preimpl_cnn(device, model, impl, groups, db, composed, opt);
+    CheckpointStore store;
+    CompileService service(device, store);
+    const ComposedDesign composed = service.compile(model, impl, groups).design;
     lint::LintOptions composed_opt = options;
     for (const ComposedDesign::Instance& inst : composed.instances) {
       composed_opt.instances.push_back(

@@ -23,8 +23,7 @@
 #include <string>
 
 #include "cnn/zoo.h"
-#include "flow/build.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "netlist/checkpoint.h"
 #include "sim/engine/engine.h"
 #include "util/json.h"
@@ -130,11 +129,9 @@ int main(int argc, char** argv) {
       const ModelImpl impl =
           choose_implementation(model, entry->dsp_budget, entry->max_tile);
       const auto groups = default_grouping(model);
-      CheckpointDb db;
-      prepare_component_db(device, model, impl, groups, db);
-      ComposedDesign composed;
-      run_preimpl_cnn(device, model, impl, groups, db, composed);
-      netlist = std::move(composed.netlist);
+      CheckpointStore store;
+      CompileService service(device, store);
+      netlist = std::move(service.compile(model, impl, groups).design.netlist);
       what = model_name + " (pre-implemented)";
     }
 

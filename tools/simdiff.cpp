@@ -23,7 +23,7 @@
 #include "cnn/zoo.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
-#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "netlist/checkpoint.h"
 #include "sim/compiled.h"
 
@@ -151,11 +151,10 @@ int main(int argc, char** argv) {
       const Device device = make_xcku5p_sim();
       const ModelImpl impl = choose_implementation(model, dsp_budget, max_tile);
       const std::vector<std::vector<int>> groups = default_grouping(model);
-      CheckpointDb db;
-      prepare_component_db(device, model, impl, groups, db);
-      ComposedDesign composed;
-      run_preimpl_cnn(device, model, impl, groups, db, composed);
-      check(composed.netlist, model_name + " (pre-implemented)");
+      CheckpointStore store;
+      CompileService service(device, store);
+      check(service.compile(model, impl, groups).design.netlist,
+            model_name + " (pre-implemented)");
       if (mono) {
         Netlist flat = build_flat_netlist(model, impl, groups);
         PhysState phys;

@@ -11,6 +11,8 @@
 //   - exactly one plan compilation across the whole sweep (the compile
 //     counter proves plan reuse across engines and widths);
 //   - in full mode, >= 1M vectors actually served.
+// Batches are 32 cycles; vgg16 is also served at 256 cycles per batch
+// (section "vgg16_256") to show what the per-batch context reset costs.
 // The multi-thread speedup gate (8-thread >= 4x 1-thread on LeNet) is
 // enforced only on hosts with >= 8 hardware threads — on smaller hosts the
 // measured speedup is still reported, with the gate marked unenforced.
@@ -96,88 +98,103 @@ int main(int argc, char** argv) {
     const std::uint64_t plans_before = SimPlan::plans_compiled();
     const auto plan = SimPlan::compile(composed.netlist);
 
-    EngineOptions opt;
-    opt.seed = 1;
-    std::vector<WidthRun> runs;
-    for (const std::size_t width : widths) {
-      ThreadPool pool(width);
-      opt.contexts = width;
-      InferenceEngine engine(composed.netlist, plan, opt, &pool);
-      runs.push_back({width, engine.serve(vectors)});
-    }
-    const std::uint64_t plans_compiled = SimPlan::plans_compiled() - plans_before;
+    // vgg16 also serves 256-cycle batches: the gap between its 32- and
+    // 256-cycle throughput is what a per-batch context reset costs.
+    std::vector<int> batch_cycles{32};
+    if (std::string(entry.name) == "vgg16") batch_cycles.push_back(256);
+    double vectors_per_sec_32 = 0.0;
+    for (const int cycles : batch_cycles) {
+      std::string section = entry.name;
+      if (cycles != 32) section += "_" + std::to_string(cycles);
+      EngineOptions opt;
+      opt.seed = 1;
+      opt.cycles_per_batch = cycles;
+      std::vector<WidthRun> runs;
+      for (const std::size_t width : widths) {
+        ThreadPool pool(width);
+        opt.contexts = width;
+        InferenceEngine engine(composed.netlist, plan, opt, &pool);
+        runs.push_back({width, engine.serve(vectors)});
+      }
+      const std::uint64_t plans_compiled = SimPlan::plans_compiled() - plans_before;
 
-    bool identical = true;
-    for (const WidthRun& r : runs) {
-      identical &= r.stats.fingerprint() == runs[0].stats.fingerprint();
-    }
-    std::uint64_t oracle_failures = 0;
-    for (const WidthRun& r : runs) oracle_failures += r.stats.oracle_failures;
-    const WidthRun& serial = runs.front();
-    const WidthRun& wide = runs.back();
-    const double speedup = serial.stats.vectors_per_sec > 0
-                               ? wide.stats.vectors_per_sec / serial.stats.vectors_per_sec
-                               : 0.0;
+      bool identical = true;
+      for (const WidthRun& r : runs) {
+        identical &= r.stats.fingerprint() == runs[0].stats.fingerprint();
+      }
+      std::uint64_t oracle_failures = 0;
+      for (const WidthRun& r : runs) oracle_failures += r.stats.oracle_failures;
+      const WidthRun& serial = runs.front();
+      const WidthRun& wide = runs.back();
+      const double speedup = serial.stats.vectors_per_sec > 0
+                                 ? wide.stats.vectors_per_sec / serial.stats.vectors_per_sec
+                                 : 0.0;
+      if (cycles == 32) vectors_per_sec_32 = wide.stats.vectors_per_sec;
 
-    bool ok = identical && oracle_failures == 0 && plans_compiled == 1;
-    for (const WidthRun& r : runs) ok &= r.stats.ok();
-    if (!smoke && vectors_override == 0) ok &= wide.stats.vectors >= 1000000;
-    if (enforce_speedup && std::string(entry.name) == "lenet") ok &= speedup >= 4.0;
-    all_ok &= ok;
+      bool ok = identical && oracle_failures == 0 && plans_compiled == 1;
+      for (const WidthRun& r : runs) ok &= r.stats.ok();
+      if (!smoke && vectors_override == 0) ok &= wide.stats.vectors >= 1000000;
+      if (enforce_speedup && section == "lenet") ok &= speedup >= 4.0;
+      all_ok &= ok;
 
-    std::printf(
-        "soak [%s]: %zu cells | %llu vectors x %zu widths | best %.0f vec/s "
-        "(%.0f lane-cyc/s, width %zu) | serial %.0f vec/s | speedup %.2fx%s | "
-        "oracle %llu checks, %llu failures | fingerprint %s %s | plan compiles %llu%s\n",
-        entry.name, composed.netlist.cell_count(),
-        static_cast<unsigned long long>(wide.stats.vectors), widths.size(),
-        wide.stats.vectors_per_sec, wide.stats.lane_cycles_per_sec, wide.width,
-        serial.stats.vectors_per_sec, speedup,
-        enforce_speedup ? "" : " (gate unenforced: host too small)",
-        static_cast<unsigned long long>(wide.stats.oracle_checks),
-        static_cast<unsigned long long>(oracle_failures),
-        hex64(runs[0].stats.fingerprint()).c_str(),
-        identical ? "(identical across widths)" : "(WIDTHS DIVERGE)",
-        static_cast<unsigned long long>(plans_compiled), ok ? "" : "  ** FAIL");
-    if (!runs[0].stats.first_failure.empty()) {
-      std::fprintf(stderr, "  first oracle failure: %s\n",
-                   runs[0].stats.first_failure.c_str());
-    }
+      std::printf(
+          "soak [%s]: %zu cells | %llu vectors x %zu widths | best %.0f vec/s "
+          "(%.0f lane-cyc/s, width %zu) | serial %.0f vec/s | speedup %.2fx%s | "
+          "oracle %llu checks, %llu failures | fingerprint %s %s | plan compiles %llu%s\n",
+          section.c_str(), composed.netlist.cell_count(),
+          static_cast<unsigned long long>(wide.stats.vectors), widths.size(),
+          wide.stats.vectors_per_sec, wide.stats.lane_cycles_per_sec, wide.width,
+          serial.stats.vectors_per_sec, speedup,
+          enforce_speedup ? "" : " (gate unenforced: host too small)",
+          static_cast<unsigned long long>(wide.stats.oracle_checks),
+          static_cast<unsigned long long>(oracle_failures),
+          hex64(runs[0].stats.fingerprint()).c_str(),
+          identical ? "(identical across widths)" : "(WIDTHS DIVERGE)",
+          static_cast<unsigned long long>(plans_compiled), ok ? "" : "  ** FAIL");
+      if (!runs[0].stats.first_failure.empty()) {
+        std::fprintf(stderr, "  first oracle failure: %s\n",
+                     runs[0].stats.first_failure.c_str());
+      }
 
-    JsonWriter json;
-    json.begin_object();
-    json.key("model").value(entry.name);
-    json.key("cells").value(composed.netlist.cell_count());
-    json.key("vectors").value(static_cast<std::size_t>(wide.stats.vectors));
-    json.key("batches").value(static_cast<std::size_t>(wide.stats.batches));
-    json.key("cycles_per_batch").value(opt.cycles_per_batch);
-    json.key("check_every").value(opt.check_every);
-    json.key("contexts").value(wide.stats.contexts);
-    json.key("lanes").value(InferenceEngine::kLanes);
-    json.key("checksum").value(hex64(runs[0].stats.checksum));
-    json.key("fingerprint").value(hex64(runs[0].stats.fingerprint()));
-    json.key("identical_widths").value(identical);
-    json.key("oracle_checks").value(static_cast<std::size_t>(wide.stats.oracle_checks));
-    json.key("oracle_failures").value(static_cast<std::size_t>(oracle_failures));
-    json.key("plans_compiled").value(static_cast<std::size_t>(plans_compiled));
-    json.key("widths");
-    json.begin_array();
-    for (const WidthRun& r : runs) {
+      JsonWriter json;
       json.begin_object();
-      json.key("threads").value(r.width);
-      json.key("wall_seconds").value(r.stats.wall_seconds);
-      json.key("vectors_per_sec").value(r.stats.vectors_per_sec);
-      json.key("lane_cycles_per_sec").value(r.stats.lane_cycles_per_sec);
+      json.key("model").value(entry.name);
+      json.key("cells").value(composed.netlist.cell_count());
+      json.key("vectors").value(static_cast<std::size_t>(wide.stats.vectors));
+      json.key("batches").value(static_cast<std::size_t>(wide.stats.batches));
+      json.key("cycles_per_batch").value(opt.cycles_per_batch);
+      json.key("check_every").value(opt.check_every);
+      json.key("contexts").value(wide.stats.contexts);
+      json.key("lanes").value(InferenceEngine::kLanes);
+      json.key("checksum").value(hex64(runs[0].stats.checksum));
+      json.key("fingerprint").value(hex64(runs[0].stats.fingerprint()));
+      json.key("identical_widths").value(identical);
+      json.key("oracle_checks").value(static_cast<std::size_t>(wide.stats.oracle_checks));
+      json.key("oracle_failures").value(static_cast<std::size_t>(oracle_failures));
+      json.key("plans_compiled").value(static_cast<std::size_t>(plans_compiled));
+      json.key("widths");
+      json.begin_array();
+      for (const WidthRun& r : runs) {
+        json.begin_object();
+        json.key("threads").value(r.width);
+        json.key("wall_seconds").value(r.stats.wall_seconds);
+        json.key("vectors_per_sec").value(r.stats.vectors_per_sec);
+        json.key("lane_cycles_per_sec").value(r.stats.lane_cycles_per_sec);
+        json.end_object();
+      }
+      json.end_array();
+      json.key("sustained_vectors_per_sec").value(wide.stats.vectors_per_sec);
+      json.key("sustained_lane_cycles_per_sec").value(wide.stats.lane_cycles_per_sec);
+      json.key("speedup_widest_vs_serial").value(speedup);
+      if (cycles != 32 && wide.stats.vectors_per_sec > 0) {
+        // How many times faster than the 32-cycle row, at the widest width.
+        json.key("vs_32_cycle_batches").value(wide.stats.vectors_per_sec / vectors_per_sec_32);
+      }
+      json.key("ok").value(ok);
       json.end_object();
-    }
-    json.end_array();
-    json.key("sustained_vectors_per_sec").value(wide.stats.vectors_per_sec);
-    json.key("sustained_lane_cycles_per_sec").value(wide.stats.lane_cycles_per_sec);
-    json.key("speedup_widest_vs_serial").value(speedup);
-    json.key("ok").value(ok);
-    json.end_object();
-    if (update_json_file(out_path, entry.name, json.str())) {
-      std::printf("wrote %s (%s section)\n", out_path.c_str(), entry.name);
+      if (update_json_file(out_path, section, json.str())) {
+        std::printf("wrote %s (%s section)\n", out_path.c_str(), section.c_str());
+      }
     }
   }
 

@@ -1,6 +1,5 @@
 #include "flow/store.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include "drc/drc.h"
 #include "lint/lint.h"
+#include "util/env.h"
 #include "util/log.h"
 
 namespace fpgasim {
@@ -22,13 +22,7 @@ constexpr std::size_t kDefaultCacheBytes = 256u << 20;  // 256 MiB
 
 std::size_t resolve_cache_bytes(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("FPGASIM_STORE_CACHE_BYTES")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
-  }
+  if (const std::size_t bytes = env_positive("FPGASIM_STORE_CACHE_BYTES")) return bytes;
   return kDefaultCacheBytes;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <queue>
 #include <stdexcept>
 
@@ -351,7 +352,7 @@ void SimPlan::build_init_images(const Netlist& netlist) {
     if constexpr (kNarrowW) return init_wmem32_; else return init_wmem64_;
   }();
   init_state.assign(layout_.state_elems, 0);
-  init_wmem.assign(layout_.wmem_elems, 0);
+  init_wmem.assign(layout_.wmem_elems / kLanes, 0);
 
   // Fold constants into the initial state image; they never change, so
   // contexts inherit them on construction and reset.
@@ -366,7 +367,7 @@ void SimPlan::build_init_images(const Netlist& netlist) {
   }
 
   // ROM preloads: read-only memories into the shared plan image, writable
-  // ROM-initialized memories into the per-context initial image.
+  // ROM-initialized memories into the per-row initial image.
   std::size_t rom_total = 0;
   for (const SeqOp& sq : seq_) {
     if (sq.mem_shared) rom_total += sq.mem_depth;
@@ -384,7 +385,7 @@ void SimPlan::build_init_images(const Netlist& netlist) {
       if (sq.mem_shared) {
         rom[sq.mem_base + i] = v;
       } else {
-        std::fill_n(&init_wmem[sq.mem_base + i * kLanes], kLanes, v);
+        init_wmem[sq.mem_base / kLanes + i] = v;
       }
     }
   }
@@ -406,11 +407,22 @@ int SimPlan::output_index(const std::string& name) const {
 
 SimContext::SimContext(std::shared_ptr<const SimPlan> plan) : plan_(std::move(plan)) {
   const SimPlan& p = *plan_;
+  // The arena arrives zero-filled, so only rows whose initial image is
+  // non-zero need writing: mark them dirty and let reset_impl write them.
+  // Writable memory this context never writes stays untouched zero pages.
+  wmem_dirty_.assign((p.layout_.wmem_elems / kLanes + 63) / 64, 0);
+  const auto mark_nonzero_rows = [this](const auto& image) {
+    for (std::size_t row = 0; row < image.size(); ++row) {
+      if (image[row] != 0) wmem_dirty_[row / 64] |= 1ULL << (row % 64);
+    }
+  };
   if (p.narrow_) {
-    arena32_.resize(p.layout_.total);
+    arena32_ = ZeroedBuffer<std::uint32_t>(p.layout_.total);
+    mark_nonzero_rows(p.init_wmem32_);
     reset_impl<std::uint32_t>();
   } else {
-    arena64_.resize(p.layout_.total);
+    arena64_ = ZeroedBuffer<std::uint64_t>(p.layout_.total);
+    mark_nonzero_rows(p.init_wmem64_);
     reset_impl<std::uint64_t>();
   }
 }
@@ -424,16 +436,25 @@ void SimContext::reset() {
 template <typename W>
 void SimContext::reset_impl() {
   const SimPlan& p = *plan_;
-  // Re-image state + writable memories, flush pipes and scratch — all into
-  // the existing arena, no reallocation (the serving engine resets a
-  // context per batch).
+  // Re-image state, flush pipes and scratch — all into the existing arena,
+  // no reallocation (the serving engine resets a context per batch). These
+  // sections are small; the writable memories are not, and a batch writes
+  // few of their rows, so only the rows marked dirty by a BRAM write
+  // commit are re-imaged.
   const auto& init_state = p.init_state_vec<W>();
   std::copy(init_state.begin(), init_state.end(), state_base<W>());
   std::fill_n(pipe_base<W>(), p.layout_.pipe_elems, W{0});
   std::fill_n(next_base<W>(), p.layout_.next_elems, W{0});
   std::fill_n(ring_base<W>(), p.layout_.ring_elems, W{0});
   const auto& init_wmem = p.init_wmem_vec<W>();
-  std::copy(init_wmem.begin(), init_wmem.end(), wmem_base<W>());
+  W* wmem = wmem_base<W>();
+  for (std::size_t i = 0; i < wmem_dirty_.size(); ++i) {
+    for (std::uint64_t bits = wmem_dirty_[i]; bits != 0; bits &= bits - 1) {
+      const std::size_t row = i * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      std::fill_n(wmem + row * kLanes, kLanes, init_wmem[row]);
+    }
+    wmem_dirty_[i] = 0;
+  }
   seq_head_.assign(p.seq_.size(), 0);
   seq_en_.assign(p.seq_.size(), 0);
   cycle_ = 0;
@@ -730,6 +751,7 @@ void SimContext::step_impl() {
   W* seq_next = next_base<W>();
   W* ring_scratch = ring_base<W>();
   W* wmem_state = wmem_base<W>();
+  std::uint64_t* wmem_dirty = wmem_dirty_.data();
   const W* rom_state = p.rom_vec<W>().data();
 
   // Phase 1: capture next values and enables for every sequential op.
@@ -775,14 +797,24 @@ void SimContext::step_impl() {
                           : 0;
           }
           // Read-first within the cell: the write lands after the capture.
+          // Each write marks its row dirty for reset(); lanes usually share
+          // the write address, so a row is marked once per run of lanes
+          // rather than with a read-modify-write per lane.
           const W* we = state + sq.we;
           const W* waddr = state + sq.waddr;
           const W* wdata = state + sq.wdata;
           const W mask = static_cast<W>(sq.mask);
+          const std::size_t row_base = sq.mem_base / kLanes;
+          std::size_t marked = SIZE_MAX;
           for (std::size_t l = 0; l < kLanes; ++l) {
             if ((we[l] & 1) != 0 && waddr[l] < sq.mem_depth) {
               wmem_state[sq.mem_base + waddr[l] * kLanes + l] =
                   static_cast<W>(wdata[l] & mask);
+              const std::size_t row = row_base + waddr[l];
+              if (row != marked) {
+                wmem_dirty[row / 64] |= 1ULL << (row % 64);
+                marked = row;
+              }
             }
           }
         }

@@ -22,13 +22,16 @@
 //     dropped from the schedule.
 //
 // The plan/state split is what makes traffic-scale serving cheap: compile
-// once, then instantiate N contexts whose construction cost is one arena
-// allocation plus an initial-image copy — no re-levelization. Contexts are
-// fully independent (the plan is immutable after compile), so N of them
-// can run on N threads with no synchronization; each context's arena is
-// cache-line aligned so parallel contexts never false-share. reset()
-// returns a context to the plan's initial state *reusing* its arena
-// allocation — the per-batch path of src/sim/engine allocates nothing.
+// once, then instantiate N contexts whose construction cost is one lazily
+// zeroed arena allocation plus the non-zero part of the initial image — no
+// re-levelization. Contexts are fully independent (the plan is immutable
+// after compile), so N of them can run on N threads with no
+// synchronization; each context's arena is cache-line aligned so parallel
+// contexts never false-share. reset() returns a context to the plan's
+// initial state *reusing* its arena allocation — the per-batch path of
+// src/sim/engine allocates nothing — and re-images only the writable-
+// memory rows written since the last reset, so its cost follows the rows
+// a batch touched, not the size of the memories.
 //
 // Semantics are pinned by the sim/eval.h contract; the interpreter stays
 // the A/B oracle (see compare_compiled_vs_interpreter and
@@ -93,8 +96,9 @@ class SimPlan {
   std::size_t lane_bytes() const { return narrow_ ? 4 : 8; }
   /// Elements held once in the plan and shared by all contexts (ROMs).
   std::size_t shared_words() const { return rom32_.size() + rom64_.size(); }
-  /// Arena elements each context owns privately (nets + pipes + writable
-  /// memories + scratch).
+  /// Arena elements each context reserves privately (nets + pipes +
+  /// writable memories + scratch). Reserved, not resident: writable-memory
+  /// rows only become resident once written (or preloaded non-zero).
   std::size_t context_words() const { return layout_.total; }
   /// Nets in the compiled design (slot = net * kLanes + lane).
   std::size_t net_count() const { return net_count_; }
@@ -189,7 +193,9 @@ class SimPlan {
   // Shared read-only memories (ROMs), one copy for every context.
   std::vector<std::uint32_t> rom32_;
   std::vector<std::uint64_t> rom64_;
-  // Initial contents of writable memories (ROM-preloaded, else zero).
+  // Initial contents of writable memories (ROM-preloaded, else zero), one
+  // word per row: row mem_base / kLanes + addr holds every lane's initial
+  // value at that address, since a ROM preload is the same in all lanes.
   std::vector<std::uint32_t> init_wmem32_;
   std::vector<std::uint64_t> init_wmem64_;
 
@@ -203,9 +209,10 @@ class SimPlan {
 };
 
 /// One evaluation context over a shared plan: the mutable lane state. The
-/// construction cost is state-only (one cache-aligned arena allocation +
-/// the plan's initial-image copy); reset() reuses the allocation. Not
-/// thread-safe per instance — use one context per worker.
+/// construction cost is state-only (one lazily zeroed, cache-aligned arena
+/// allocation + the non-zero words of the plan's initial image); reset()
+/// reuses the allocation. Not thread-safe per instance — use one context
+/// per worker.
 class SimContext {
  public:
   static constexpr std::size_t kLanes = SimPlan::kLanes;
@@ -215,8 +222,8 @@ class SimContext {
   const SimPlan& plan() const { return *plan_; }
   const std::shared_ptr<const SimPlan>& plan_ptr() const { return plan_; }
 
-  /// Returns to the plan's initial state (cycle 0, pipes flushed, writable
-  /// memories re-imaged) without reallocating the arena.
+  /// Returns to the plan's initial state (cycle 0, pipes flushed, written
+  /// writable-memory rows re-imaged) without reallocating the arena.
   void reset();
   /// Number of reset() calls since construction (engine telemetry).
   std::size_t resets() const { return resets_; }
@@ -285,8 +292,8 @@ class SimContext {
   // the public API always speaks uint64_t and converts at the port
   // boundary. DSP MACs always use 64-bit intermediates.
   template <typename W> W* arena() const {
-    if constexpr (sizeof(W) == 4) return const_cast<std::uint32_t*>(arena32_.data());
-    else return const_cast<std::uint64_t*>(arena64_.data());
+    if constexpr (sizeof(W) == 4) return arena32_.data();
+    else return arena64_.data();
   }
   template <typename W> W* state_base() const { return arena<W>() + plan_->layout_.state; }
   template <typename W> W* pipe_base() const { return arena<W>() + plan_->layout_.pipe; }
@@ -295,12 +302,18 @@ class SimContext {
   template <typename W> W* wmem_base() const { return arena<W>() + plan_->layout_.wmem; }
 
   std::shared_ptr<const SimPlan> plan_;
-  // One cache-aligned allocation per context: net state, pipes, capture
-  // scratch, ring scratch and writable memories, each section itself
-  // cache-line aligned (exactly one of the two is allocated, by lane
-  // width). Logically const-observable: reads settle pending inputs first.
-  CacheAlignedVector<std::uint32_t> arena32_;
-  CacheAlignedVector<std::uint64_t> arena64_;
+  // One cache-aligned, lazily zeroed allocation per context: net state,
+  // pipes, capture scratch, ring scratch and writable memories, each
+  // section itself cache-line aligned (exactly one of the two is
+  // allocated, by lane width). Writable-memory rows nobody writes stay
+  // untouched zero pages, so resident bytes follow the rows written, not
+  // context_words(). Logically const-observable: reads settle pending
+  // inputs first.
+  ZeroedBuffer<std::uint32_t> arena32_;
+  ZeroedBuffer<std::uint64_t> arena64_;
+  // One bit per writable-memory row (all kLanes words of one address),
+  // set by the BRAM write commit; reset() re-images only these rows.
+  std::vector<std::uint64_t> wmem_dirty_;
   std::vector<std::uint32_t> seq_head_;  // ring head (physical slot of logical 0)
   std::vector<std::uint64_t> seq_en_;    // phase-1 enable bitmasks (bit = lane)
   mutable bool dirty_ = false;

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
 #include "sim/simulator.h"
 #include "util/aligned.h"
+#include "util/env.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -22,13 +22,6 @@ std::uint64_t splitmix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-std::size_t env_contexts() {
-  const char* env = std::getenv("FPGASIM_ENGINE_CONTEXTS");
-  if (env == nullptr) return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<std::size_t>(v) : 0;
 }
 
 }  // namespace
@@ -72,7 +65,7 @@ InferenceEngine::InferenceEngine(const Netlist& netlist,
     throw std::runtime_error("engine: cycles_per_batch must be >= 1");
   }
   std::size_t n = opt_.contexts;
-  if (n == 0) n = env_contexts();
+  if (n == 0) n = env_positive("FPGASIM_ENGINE_CONTEXTS");
   if (n == 0) n = pool_ != nullptr ? pool_->size() : ThreadPool::default_width();
   n = std::clamp<std::size_t>(n, 1, kMaxContexts);
   contexts_.reserve(n);

@@ -6,43 +6,53 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <vector>
+#include <utility>
 
 namespace fpgasim {
 
 /// Size of one cache line / the arena shard alignment, in bytes.
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-/// Minimal std::allocator drop-in that over-aligns every allocation.
-template <typename T, std::size_t Align = kCacheLineBytes>
-struct AlignedAllocator {
-  using value_type = T;
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0,
-                "alignment must be a power of two covering alignof(T)");
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{Align}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Align});
-  }
-
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Align>;
-  };
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) { return true; }
-};
-
-/// Vector whose buffer starts on a cache-line boundary.
+/// Fixed-size, zero-filled, cache-line-aligned array of trivially
+/// copyable elements. The storage comes from std::calloc, over-allocated
+/// by one line and aligned up by hand: a large calloc maps fresh zero
+/// pages without touching them, so elements that are never written never
+/// become resident. That is the point — a simulation arena reserves room
+/// for every writable memory row, while a batch writes a handful of them.
 template <typename T>
-using CacheAlignedVector = std::vector<T, AlignedAllocator<T>>;
+class ZeroedBuffer {
+ public:
+  ZeroedBuffer() = default;
+  explicit ZeroedBuffer(std::size_t n) {
+    if (n == 0) return;
+    raw_ = std::calloc(n * sizeof(T) + kCacheLineBytes, 1);
+    if (raw_ == nullptr) throw std::bad_alloc();
+    const auto addr = reinterpret_cast<std::uintptr_t>(raw_);
+    data_ = reinterpret_cast<T*>((addr + kCacheLineBytes - 1) & ~(kCacheLineBytes - 1));
+  }
+  ZeroedBuffer(ZeroedBuffer&& other) noexcept { swap(other); }
+  ZeroedBuffer& operator=(ZeroedBuffer&& other) noexcept {
+    ZeroedBuffer(std::move(other)).swap(*this);
+    return *this;
+  }
+  ZeroedBuffer(const ZeroedBuffer&) = delete;
+  ZeroedBuffer& operator=(const ZeroedBuffer&) = delete;
+  ~ZeroedBuffer() { std::free(raw_); }
+
+  T* data() const { return data_; }
+
+ private:
+  void swap(ZeroedBuffer& other) noexcept {
+    std::swap(raw_, other.raw_);
+    std::swap(data_, other.data_);
+  }
+
+  void* raw_ = nullptr;
+  T* data_ = nullptr;
+};
 
 /// Rounds an element count up so the next section of an arena starts on a
 /// cache-line boundary (elements of size `elem_bytes`).

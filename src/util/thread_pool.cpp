@@ -1,9 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <string>
+
+#include "util/env.h"
 
 namespace fpgasim {
 namespace {
@@ -18,11 +19,7 @@ thread_local WorkerIdentity tls_worker;
 }  // namespace
 
 std::size_t ThreadPool::default_width() {
-  if (const char* env = std::getenv("FPGASIM_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) return static_cast<std::size_t>(parsed);
-  }
+  if (const std::size_t width = env_positive("FPGASIM_THREADS")) return width;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
@@ -37,7 +34,10 @@ ThreadPool::ThreadPool(ThreadPoolOptions opt) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stop_.store(true);
+  }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -57,7 +57,13 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(queues_[target]->mutex);
     queues_[target]->tasks.push_back(std::move(packaged));
   }
-  pending_.fetch_add(1);
+  {
+    // Published under the sleep mutex: a worker that just saw pending_ == 0
+    // holds it until it is inside cv_.wait, so the notify cannot fall
+    // between its check and its sleep (a lost wakeup hangs the caller).
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    pending_.fetch_add(1);
+  }
   cv_.notify_one();
   return future;
 }

@@ -8,10 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "cnn/zoo.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/service.h"
 #include "sim/compiled.h"
+#include "sim/engine/engine.h"
 #include "stream_harness.h"
 #include "synth/builder.h"
 #include "util/rng.h"
@@ -192,6 +194,134 @@ TEST(CompiledSim, BatchApiDrivesLanesIndependently) {
   EXPECT_GT(sim.levels(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// reset() equivalence, black-box: whatever a context wrote before reset(),
+// afterwards it must be indistinguishable from a freshly constructed
+// context — every address of every lane of every writable memory reads
+// back the initial image, and the full net-state digest agrees.
+
+// Writable BRAMs whose write address, data, enable and read address are
+// all input ports, so the stimulus reaches every row of every lane
+// independently. `wide` adds a 40-bit memory, which moves the whole design
+// onto the 64-bit lane engine.
+Netlist reset_fixture(bool wide) {
+  NetlistBuilder b(wide ? "reset_wide" : "reset_narrow");
+  struct Mem {
+    std::uint32_t depth;
+    std::uint16_t width;
+    bool preloaded;
+  };
+  std::vector<Mem> mems{{37, 16, true}, {64, 12, false}, {19, 1, true}};
+  if (wide) mems.push_back({23, 40, true});
+  Rng rng(wide ? 77 : 55);
+  for (std::size_t m = 0; m < mems.size(); ++m) {
+    const Mem& mem = mems[m];
+    const std::string k = std::to_string(m);
+    const NetId waddr = b.in_port("waddr" + k, 8);
+    const NetId wdata = b.in_port("wdata" + k, mem.width);
+    const NetId we = b.in_port("we" + k, 1);
+    const NetId raddr = b.in_port("raddr" + k, 8);
+    std::int32_t rom_id = -1;
+    if (mem.preloaded) {  // non-zero initial image, every row distinct
+      std::vector<std::uint64_t> image(mem.depth);
+      for (std::uint64_t& w : image) w = rng() | 1;
+      rom_id = b.rom(std::move(image));
+    }
+    b.out_port("q" + k, b.bram(waddr, wdata, we, mem.depth, mem.width, rom_id, {}, raddr));
+  }
+  return std::move(b).take();
+}
+
+// Drives every input port of every lane from `value(port_name, lane)`,
+// then steps one cycle.
+template <typename F>
+void step_with(SimContext& ctx, F value) {
+  const SimPlan& plan = ctx.plan();
+  std::vector<std::uint64_t> lanes(SimContext::kLanes);
+  for (std::size_t i = 0; i < plan.input_count(); ++i) {
+    const std::string& port = plan.input_name(i);
+    for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l] = value(port, l);
+    ctx.set_inputs(static_cast<int>(i), lanes);
+  }
+  ctx.step();
+}
+
+// Write stimulus, `cycles` == 0 for the one-cycle diagonal: lane l writes
+// address l of every memory, so each written row has exactly one writer
+// lane. Otherwise random: each lane draws its own address (up to 71, so
+// some fall past the end of a memory and must be dropped), data and
+// enable (one cycle in 16), so lanes write different rows in the same
+// cycle — over 32 cycles most rows keep their image, over 5000 every row
+// is written by many lanes.
+void drive_writes(SimContext& ctx, int cycles, std::uint64_t seed) {
+  Rng rng(seed);
+  if (cycles == 0) {
+    step_with(ctx, [&](const std::string& port, std::size_t l) -> std::uint64_t {
+      if (port.starts_with("we")) return 1;
+      return port.starts_with("waddr") ? l : rng();
+    });
+    return;
+  }
+  for (int c = 0; c < cycles; ++c) {
+    step_with(ctx, [&](const std::string& port, std::size_t) -> std::uint64_t {
+      if (port.starts_with("we")) return rng.next_below(16) == 0 ? 1 : 0;
+      return port.starts_with("waddr") || port.starts_with("raddr") ? rng.next_below(72)
+                                                                     : rng();
+    });
+  }
+}
+
+// Reads back every address of every memory on every lane (lane l reads
+// address (a + l) mod 72, so each lane sweeps every address, with writes
+// disabled) and checks `ctx` against `fresh` after every read.
+void expect_same_memories(SimContext& ctx, SimContext& fresh) {
+  ASSERT_EQ(ctx.state_digest(), fresh.state_digest());
+  const SimPlan& plan = ctx.plan();
+  std::vector<std::uint64_t> got(SimContext::kLanes);
+  std::vector<std::uint64_t> want(SimContext::kLanes);
+  for (std::uint64_t a = 0; a < 72; ++a) {
+    const auto read = [a](const std::string& port, std::size_t l) -> std::uint64_t {
+      return port.starts_with("raddr") ? (a + l) % 72 : 0;
+    };
+    step_with(ctx, read);
+    step_with(fresh, read);
+    for (std::size_t o = 0; o < plan.output_count(); ++o) {
+      ctx.get_outputs(static_cast<int>(o), got);
+      fresh.get_outputs(static_cast<int>(o), want);
+      ASSERT_EQ(got, want) << plan.output_name(o) << " read sweep " << a;
+    }
+    ASSERT_EQ(ctx.state_digest(), fresh.state_digest()) << "read sweep " << a;
+  }
+}
+
+void check_reset_equivalence(const Netlist& nl, std::size_t lane_bytes) {
+  ASSERT_TRUE(nl.validate().empty());
+  const auto plan = SimPlan::compile(nl);
+  ASSERT_EQ(plan->lane_bytes(), lane_bytes);
+  SimContext ctx(plan);
+  std::uint64_t seed = 900;
+  for (const int cycles : {0, 32, 5000}) {
+    SCOPED_TRACE(cycles == 0 ? std::string("one-cycle diagonal write")
+                             : std::to_string(cycles) + " cycles of random writes");
+    drive_writes(ctx, cycles, seed++);
+    ctx.reset();
+    SimContext fresh(plan);
+    EXPECT_EQ(ctx.cycle(), 0u);
+    expect_same_memories(ctx, fresh);
+    // The read sweep itself advanced the context: reset again so the next
+    // round starts from reset(), as a serving batch does.
+    ctx.reset();
+  }
+}
+
+TEST(CompiledSim, ResetRestoresEveryWrittenRowNarrow) {
+  check_reset_equivalence(reset_fixture(false), 4);
+}
+
+TEST(CompiledSim, ResetRestoresEveryWrittenRowWide) {
+  check_reset_equivalence(reset_fixture(true), 8);
+}
+
 TEST(CompiledSim, DetectsCombinationalLoop) {
   Netlist nl("loop");
   const NetId n1 = nl.add_net(1);
@@ -253,6 +383,40 @@ TEST(CompiledSim, Vgg16BothFlowsMatchInterpreter) {
   const std::vector<int> lanes{0, 13, 37, 63};
   EXPECT_EQ(compare_compiled_vs_interpreter(f.composed.netlist, 12, 1005, lanes), "");
   EXPECT_EQ(compare_compiled_vs_interpreter(f.flat, 12, 1006, lanes), "");
+}
+
+TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
+  // Every zoo model composed exactly as `fpgaserve --model` composes it,
+  // served through the inference engine with default options over two
+  // contexts. The fingerprint folds every output frame and the end-of-batch
+  // state digest of all four 2048-vector batches, so any change to what the
+  // compiled engine computes — including what reset() leaves behind between
+  // batches — moves it.
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned{
+      {"lenet", 0xcc85505b094f7503ULL},     {"resblock", 0x053e32d6e3b28cf0ULL},
+      {"vgg16", 0xf6fc3f661e16cbc8ULL},     {"mobilenet", 0xfa2690557f1f8b8fULL},
+      {"resnet18", 0xc965bc5c9c3a8cb9ULL},  {"unet", 0x7e7148ec8eb34903ULL},
+      {"inception", 0x536a1e6a229f0feaULL},
+  };
+  ASSERT_EQ(model_zoo().size(), pinned.size());
+  const Device device = make_xcku5p_sim();
+  for (const auto& [name, fingerprint] : pinned) {
+    const ZooEntry* entry = find_zoo_model(name);
+    ASSERT_NE(entry, nullptr) << name;
+    const CnnModel model = entry->make();
+    const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
+    CheckpointStore store;
+    CompileService service(device, store);
+    const Netlist netlist =
+        std::move(service.compile(model, impl, default_grouping(model)).design.netlist);
+    EngineOptions opt;
+    opt.contexts = 2;
+    InferenceEngine engine(netlist, opt);
+    const EngineStats stats = engine.serve(8192);
+    EXPECT_TRUE(stats.ok()) << name << ": " << stats.first_failure;
+    EXPECT_EQ(stats.fingerprint(), fingerprint)
+        << name << " fingerprint 0x" << std::hex << stats.fingerprint();
+  }
 }
 
 TEST(CompiledSim, ResblockBatchInferenceBitMatchesGoldenAndInterpreter) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -147,6 +148,25 @@ TEST(ThreadPool, IdleWorkerStealsFromBusyWorkerQueue) {
   EXPECT_EQ(done.load(), 16) << "quick tasks stuck behind the blocked worker";
   unblock.set_value();
   for (auto& f : futures) f.get();
+}
+
+TEST(ThreadPool, ShortLivedPoolsNeverLoseAWakeup) {
+  // Every round submits to workers that are just going to sleep and then
+  // shuts the pool down: both notifies race a worker between its "no work"
+  // check and its wait. A lost wakeup leaves a round blocked for good, so
+  // the rounds run on a detached thread and the test bounds the wait.
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread([finished = std::move(finished)]() mutable {
+    for (int round = 0; round < 2000; ++round) {
+      ThreadPool pool(2);
+      std::atomic<int> total{0};
+      parallel_for(0, 3, [&total](std::size_t) { total.fetch_add(1); }, &pool);
+    }
+    finished.set_value();
+  }).detach();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(60)), std::future_status::ready)
+      << "a pool round never finished: a worker missed its wakeup";
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -187,7 +187,7 @@ inline SimThroughput measure_sim_throughput(const Netlist& netlist,
   if (r.interp_seconds > 0.0) r.interp_cps = cycles / r.interp_seconds;
   if (r.compiled_seconds > 0.0) {
     r.compiled_lane_cps =
-        static_cast<double>(cycles) * CompiledSim::kLanes / r.compiled_seconds;
+        static_cast<double>(cycles) * SimPlan::kLanes / r.compiled_seconds;
   }
   if (r.interp_cps > 0.0) r.speedup = r.compiled_lane_cps / r.interp_cps;
   return r;
@@ -227,7 +227,7 @@ inline void emit_sim_throughput(JsonWriter& json, const SimThroughput& r) {
   json.key("comb_ops").value(r.comb_ops);
   json.key("seq_ops").value(r.seq_ops);
   json.key("state_words").value(r.state_words);
-  json.key("lanes").value(CompiledSim::kLanes);
+  json.key("lanes").value(SimPlan::kLanes);
   json.key("compile_seconds").value(r.compile_seconds);
   json.key("interpreter_seconds").value(r.interp_seconds);
   json.key("compiled_seconds").value(r.compiled_seconds);

@@ -148,10 +148,6 @@ void enforce_drc(const DrcReport& report, const std::string& where);
 // -- shared helpers used by the rule implementations ------------------------
 namespace drc_detail {
 
-// Cell-semantics helpers (expected_output_width, is_combinational,
-// required_input_pins) moved to netlist/netlist.h so lint and DRC share
-// one definition; unqualified uses below resolve through fpgasim::.
-
 /// Instance index owning `cell`, or -1 (binary search over the ranges).
 int instance_of_cell(const std::vector<DrcInstance>& instances, CellId cell);
 

@@ -27,12 +27,6 @@ std::uint64_t edge_key(TileCoord a, TileCoord b) {
          static_cast<std::uint64_t>(static_cast<std::uint16_t>(b.y));
 }
 
-std::string net_ref(const Netlist& nl, NetId n) {
-  std::string s = "net #" + std::to_string(n);
-  if (!nl.net(n).name.empty()) s += " ('" + nl.net(n).name + "')";
-  return s;
-}
-
 /// Instance index owning `net`, or -1.
 int instance_of_net(const std::vector<DrcInstance>& instances, NetId net) {
   for (std::size_t i = 0; i < instances.size(); ++i) {

@@ -1,306 +1,56 @@
 // Netlist structural rules: driver uniqueness, hookup consistency, bus
-// widths, combinational loops, dead nets.
+// widths, combinational loops, dead nets. Each rule is one property check
+// from netlist/structure.h, shared with lint and Netlist::validate().
 #include <vector>
 
 #include "drc/drc.h"
+#include "netlist/structure.h"
 
 namespace fpgasim {
 namespace drc_detail {
 namespace {
 
-std::string net_ref(const Netlist& nl, NetId n) {
-  std::string s = "net #" + std::to_string(n);
-  if (!nl.net(n).name.empty()) s += " ('" + nl.net(n).name + "')";
-  return s;
-}
-
-std::string cell_ref(const Netlist& nl, CellId c) {
-  std::string s = std::string(to_string(nl.cell(c).type)) + " cell #" + std::to_string(c);
-  if (!nl.cell(c).name.empty()) s += " ('" + nl.cell(c).name + "')";
-  return s;
-}
-
-/// Marks nets bound to module ports (input ports may legally be driverless).
-std::vector<bool> input_port_nets(const Netlist& nl) {
-  std::vector<bool> flags(nl.net_count(), false);
-  for (const Port& port : nl.ports()) {
-    if (port.dir == PortDir::kInput && port.net < nl.net_count()) flags[port.net] = true;
-  }
-  return flags;
-}
-
-class NetDriverRule final : public DrcRule {
+class StructuralRule final : public DrcRule {
  public:
-  const char* id() const override { return "net-driver"; }
-  const char* what() const override { return "every net has exactly one consistent driver"; }
+  StructuralRule(const char* id, const char* what, DrcSeverity severity,
+                 StructuralCheck property)
+      : id_(id), what_(what), severity_(severity), check_(property) {}
+
+  const char* id() const override { return id_; }
+  const char* what() const override { return what_; }
   unsigned stages() const override { return kDrcStructural; }
-  DrcSeverity severity() const override { return DrcSeverity::kError; }
+  DrcSeverity severity() const override { return severity_; }
 
   void check(const DrcContext& ctx, DrcReport& report) const override {
-    const Netlist& nl = *ctx.netlist;
-    // How many cell output pins claim each net.
-    std::vector<int> driver_refs(nl.net_count(), 0);
-    for (CellId c = 0; c < nl.cell_count(); ++c) {
-      for (NetId out : nl.cell(c).outputs) {
-        if (out != kInvalidNet && out < nl.net_count()) ++driver_refs[out];
-      }
-    }
-    const std::vector<bool> is_input = input_port_nets(nl);
-    for (NetId n = 0; n < nl.net_count(); ++n) {
-      const Net& net = nl.net(n);
-      if (driver_refs[n] > 1) {
-        report.add({id(), severity(),
-                    net_ref(nl, n) + " is driven by " + std::to_string(driver_refs[n]) +
-                        " cell output pins",
-                    kInvalidCell, n});
-        continue;
-      }
-      if (net.driver == kInvalidCell) {
-        if (driver_refs[n] == 1) {
-          report.add({id(), severity(),
-                      net_ref(nl, n) + " is claimed by a cell output pin but records no driver",
-                      kInvalidCell, n});
-        }
-        continue;
-      }
-      if (net.driver >= nl.cell_count()) {
-        report.add({id(), severity(), net_ref(nl, n) + " has an out-of-range driver cell",
-                    kInvalidCell, n});
-        continue;
-      }
-      const Cell& drv = nl.cell(net.driver);
-      if (net.driver_pin >= drv.outputs.size() || drv.outputs[net.driver_pin] != n) {
-        report.add({id(), severity(),
-                    net_ref(nl, n) + " records " + cell_ref(nl, net.driver) + " pin " +
-                        std::to_string(net.driver_pin) + " as driver, but that pin does not drive it",
-                    net.driver, n});
-      }
-      if (is_input[n]) {
-        report.add({id(), severity(),
-                    net_ref(nl, n) + " is driven by " + cell_ref(nl, net.driver) +
-                        " and by an input port",
-                    net.driver, n});
-      }
+    for (StructuralIssue& issue : check_(*ctx.netlist)) {
+      report.add({id_, severity_, std::move(issue.message), issue.cell, issue.net});
     }
   }
-};
 
-class NetDanglingRule final : public DrcRule {
- public:
-  const char* id() const override { return "net-dangling"; }
-  const char* what() const override {
-    return "no undriven inputs, dangling sink references or missing required pins";
-  }
-  unsigned stages() const override { return kDrcStructural; }
-  DrcSeverity severity() const override { return DrcSeverity::kError; }
-
-  void check(const DrcContext& ctx, DrcReport& report) const override {
-    const Netlist& nl = *ctx.netlist;
-    const std::vector<bool> is_input = input_port_nets(nl);
-    for (NetId n = 0; n < nl.net_count(); ++n) {
-      const Net& net = nl.net(n);
-      if (net.driver == kInvalidCell && !net.sinks.empty() && !is_input[n]) {
-        report.add({id(), severity(),
-                    net_ref(nl, n) + " has " + std::to_string(net.sinks.size()) +
-                        " sinks but no driver and is not an input port",
-                    kInvalidCell, n});
-      }
-      for (const auto& [cell, pin] : net.sinks) {
-        if (cell >= nl.cell_count()) {
-          report.add({id(), severity(), net_ref(nl, n) + " has an out-of-range sink cell",
-                      kInvalidCell, n});
-        } else if (pin >= nl.cell(cell).inputs.size() || nl.cell(cell).inputs[pin] != n) {
-          report.add({id(), severity(),
-                      net_ref(nl, n) + " lists " + cell_ref(nl, cell) + " pin " +
-                          std::to_string(pin) + " as sink, but that pin is not connected to it",
-                      cell, n});
-        }
-      }
-    }
-    for (CellId c = 0; c < nl.cell_count(); ++c) {
-      const Cell& cell = nl.cell(c);
-      for (NetId in : cell.inputs) {
-        if (in != kInvalidNet && in >= nl.net_count()) {
-          report.add({id(), severity(), cell_ref(nl, c) + " input references an out-of-range net",
-                      c, kInvalidNet});
-        }
-      }
-      for (std::uint16_t pin : required_input_pins(cell)) {
-        if (pin >= cell.inputs.size() || cell.inputs[pin] == kInvalidNet) {
-          report.add({id(), severity(),
-                      cell_ref(nl, c) + " required input pin " + std::to_string(pin) +
-                          " is unconnected",
-                      c, kInvalidNet});
-        }
-      }
-    }
-  }
-};
-
-class NetWidthRule final : public DrcRule {
- public:
-  const char* id() const override { return "net-width"; }
-  const char* what() const override { return "bus widths agree across net connections"; }
-  unsigned stages() const override { return kDrcStructural; }
-  DrcSeverity severity() const override { return DrcSeverity::kError; }
-
-  void check(const DrcContext& ctx, DrcReport& report) const override {
-    const Netlist& nl = *ctx.netlist;
-    for (const Port& port : nl.ports()) {
-      if (port.net >= nl.net_count()) {
-        report.add({id(), severity(), "port '" + port.name + "' is bound to an invalid net",
-                    kInvalidCell, kInvalidNet});
-        continue;
-      }
-      if (nl.net(port.net).width != port.width) {
-        report.add({id(), severity(),
-                    "port '" + port.name + "' is " + std::to_string(port.width) +
-                        " bits but its net is " + std::to_string(nl.net(port.net).width),
-                    kInvalidCell, port.net});
-      }
-    }
-    for (NetId n = 0; n < nl.net_count(); ++n) {
-      const Net& net = nl.net(n);
-      if (net.driver == kInvalidCell || net.driver >= nl.cell_count()) continue;
-      const Cell& drv = nl.cell(net.driver);
-      const std::uint16_t expect = expected_output_width(drv);
-      if (net.width != expect) {
-        report.add({id(), severity(),
-                    net_ref(nl, n) + " is " + std::to_string(net.width) + " bits but its driver " +
-                        cell_ref(nl, net.driver) + " produces " + std::to_string(expect),
-                    net.driver, n});
-      }
-    }
-    // Data operand pins of registers, shift registers, adders, max and
-    // ReLU cells must not be driven by a *wider* net (silent truncation).
-    // Narrower nets are fine — the fabric zero-extends implicitly, which
-    // the synthesized address arithmetic relies on.
-    for (CellId c = 0; c < nl.cell_count(); ++c) {
-      const Cell& cell = nl.cell(c);
-      std::vector<std::uint16_t> data_pins;
-      switch (cell.type) {
-        case CellType::kFf:
-        case CellType::kSrl:
-        case CellType::kRelu:
-          data_pins = {0};
-          break;
-        case CellType::kAdd:
-        case CellType::kMax:
-          data_pins = {0, 1};
-          break;
-        default:
-          continue;
-      }
-      for (std::uint16_t pin : data_pins) {
-        if (pin >= cell.inputs.size()) continue;
-        const NetId in = cell.inputs[pin];
-        if (in == kInvalidNet || in >= nl.net_count()) continue;
-        if (nl.net(in).width > cell.width) {
-          report.add({id(), severity(),
-                      cell_ref(nl, c) + " data pin " + std::to_string(pin) + " is " +
-                          std::to_string(cell.width) + " bits but " + net_ref(nl, in) +
-                          " is " + std::to_string(nl.net(in).width) + " (truncation)",
-                      c, in});
-        }
-      }
-    }
-  }
-};
-
-class CombLoopRule final : public DrcRule {
- public:
-  const char* id() const override { return "comb-loop"; }
-  const char* what() const override {
-    return "no combinational cycles through LUT/ADD/MAX/RELU logic";
-  }
-  unsigned stages() const override { return kDrcStructural; }
-  DrcSeverity severity() const override { return DrcSeverity::kError; }
-
-  void check(const DrcContext& ctx, DrcReport& report) const override {
-    const Netlist& nl = *ctx.netlist;
-    // Iterative DFS over the cell graph restricted to combinational cells.
-    enum : std::uint8_t { kWhite, kGrey, kBlack };
-    std::vector<std::uint8_t> color(nl.cell_count(), kWhite);
-    std::vector<std::pair<CellId, std::size_t>> stack;  // (cell, next successor index)
-    // successor lists are materialized lazily per cell via nets.
-    auto successors = [&](CellId c) {
-      std::vector<CellId> succ;
-      for (NetId out : nl.cell(c).outputs) {
-        if (out == kInvalidNet || out >= nl.net_count()) continue;
-        for (const auto& [sink, pin] : nl.net(out).sinks) {
-          if (sink < nl.cell_count() && is_combinational(nl.cell(sink))) {
-            succ.push_back(sink);
-          }
-        }
-      }
-      return succ;
-    };
-    std::vector<std::vector<CellId>> succ_cache(nl.cell_count());
-    for (CellId root = 0; root < nl.cell_count(); ++root) {
-      if (color[root] != kWhite || !is_combinational(nl.cell(root))) continue;
-      color[root] = kGrey;
-      succ_cache[root] = successors(root);
-      stack.emplace_back(root, 0);
-      while (!stack.empty()) {
-        auto& [c, next] = stack.back();
-        if (next < succ_cache[c].size()) {
-          const CellId s = succ_cache[c][next++];
-          if (color[s] == kGrey) {
-            report.add({id(), severity(),
-                        "combinational loop through " + cell_ref(nl, s) + " (reached from " +
-                            cell_ref(nl, c) + ")",
-                        s, kInvalidNet});
-            // Break the cycle for reporting purposes and keep scanning.
-            color[s] = kBlack;
-          } else if (color[s] == kWhite) {
-            color[s] = kGrey;
-            succ_cache[s] = successors(s);
-            stack.emplace_back(s, 0);
-          }
-        } else {
-          color[c] = kBlack;
-          succ_cache[c].clear();
-          succ_cache[c].shrink_to_fit();
-          stack.pop_back();
-        }
-      }
-    }
-  }
-};
-
-class DeadNetRule final : public DrcRule {
- public:
-  const char* id() const override { return "net-dead"; }
-  const char* what() const override {
-    return "no orphaned nets (typically left behind by alias_net)";
-  }
-  unsigned stages() const override { return kDrcStructural; }
-  DrcSeverity severity() const override { return DrcSeverity::kWarning; }
-
-  void check(const DrcContext& ctx, DrcReport& report) const override {
-    const Netlist& nl = *ctx.netlist;
-    std::vector<bool> port_ref(nl.net_count(), false);
-    for (const Port& port : nl.ports()) {
-      if (port.net < nl.net_count()) port_ref[port.net] = true;
-    }
-    for (NetId n = 0; n < nl.net_count(); ++n) {
-      const Net& net = nl.net(n);
-      if (net.driver == kInvalidCell && net.sinks.empty() && !port_ref[n]) {
-        report.add({id(), severity(), net_ref(nl, n) + " has no driver, sinks or port binding",
-                    kInvalidCell, n});
-      }
-    }
-  }
+ private:
+  const char* id_;
+  const char* what_;
+  DrcSeverity severity_;
+  StructuralCheck check_;
 };
 
 }  // namespace
 
 void register_structural_rules(std::vector<const DrcRule*>& rules) {
-  static const NetDriverRule net_driver;
-  static const NetDanglingRule net_dangling;
-  static const NetWidthRule net_width;
-  static const CombLoopRule comb_loop;
-  static const DeadNetRule net_dead;
+  static const StructuralRule net_driver("net-driver",
+                                         "every net has exactly one consistent driver",
+                                         DrcSeverity::kError, check_drivers);
+  static const StructuralRule net_dangling(
+      "net-dangling", "no undriven inputs, dangling sink references or missing required pins",
+      DrcSeverity::kError, check_sinks);
+  static const StructuralRule net_width("net-width", "bus widths agree across net connections",
+                                        DrcSeverity::kError, check_widths);
+  static const StructuralRule comb_loop("comb-loop",
+                                        "no combinational cycles through LUT/ADD/MAX/RELU logic",
+                                        DrcSeverity::kError, check_comb_loops);
+  static const StructuralRule net_dead("net-dead",
+                                       "no orphaned nets (typically left behind by alias_net)",
+                                       DrcSeverity::kWarning, check_orphans);
   rules.push_back(&net_driver);
   rules.push_back(&net_dangling);
   rules.push_back(&net_width);

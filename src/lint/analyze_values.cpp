@@ -304,17 +304,12 @@ void analyze_values(const Netlist& nl, const LintOptions& opt, Emitter& out) {
 
   // Seeds: input ports are externally driven; driverless nets with readers
   // float (X); everything else starts Bot and is computed below.
-  std::vector<bool> is_input_port(nl.net_count(), false);
-  for (const Port& port : nl.ports()) {
-    if (port.dir == PortDir::kInput && port.net < nl.net_count()) {
-      is_input_port[port.net] = true;
-      values[port.net] = ext();
-    }
-  }
+  const std::vector<bool> is_input_port = port_nets(nl, PortDir::kInput);
   for (NetId n = 0; n < nl.net_count(); ++n) {
     const Net& net = nl.net(n);
-    const bool driven = net.driver != kInvalidCell && net.driver < nl.cell_count();
-    if (!driven && !is_input_port[n] && !net.sinks.empty()) {
+    if (is_input_port[n]) {
+      values[n] = ext();
+    } else if (net.driver >= nl.cell_count() && !net.sinks.empty()) {
       values[n] = unknown(n);  // floating net read by real sinks
     }
   }
@@ -358,12 +353,7 @@ void analyze_values(const Netlist& nl, const LintOptions& opt, Emitter& out) {
   }
 
   // Output-port bindings count as readers for the stuck-at report.
-  std::vector<bool> output_bound(nl.net_count(), false);
-  for (const Port& port : nl.ports()) {
-    if (port.dir == PortDir::kOutput && port.net < nl.net_count()) {
-      output_bound[port.net] = true;
-    }
-  }
+  const std::vector<bool> output_bound = port_nets(nl, PortDir::kOutput);
 
   // A constant net is only a *finding* when the constancy comes from
   // masking — the driver reads at least one genuinely input-dependent (Ext

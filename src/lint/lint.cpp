@@ -142,17 +142,8 @@ void Emitter::emit(std::string message, CellId cell, NetId net) {
   report_.add({rule_, severity_, std::move(message), cell, net, waived_});
 }
 
-std::string net_ref(const Netlist& nl, NetId n) {
-  std::string s = "net #" + std::to_string(n);
-  if (!nl.net(n).name.empty()) s += " ('" + nl.net(n).name + "')";
-  return s;
-}
-
-std::string cell_ref(const Netlist& nl, CellId c) {
-  std::string s = std::string(fpgasim::to_string(nl.cell(c).type)) + " cell #" +
-                  std::to_string(c);
-  if (!nl.cell(c).name.empty()) s += " ('" + nl.cell(c).name + "')";
-  return s;
+void Emitter::emit(std::vector<StructuralIssue> issues) {
+  for (StructuralIssue& issue : issues) emit(std::move(issue.message), issue.cell, issue.net);
 }
 
 }  // namespace detail

@@ -1,7 +1,7 @@
 // fpgalint: whole-netlist static analyzer. Goes beyond the DRC's
 // well-formedness rules with real dataflow reasoning over fpgasim::Netlist:
 //
-//   - combinational-loop detection (Tarjan SCC over the comb-edge graph;
+//   - combinational-loop detection (Tarjan SCC over the shared CombGraph;
 //     registers break edges), each cycle reported as a named cell path;
 //   - dead-logic detection (backward reachability from primary outputs),
 //     flagging unreachable cells and unread nets;
@@ -11,6 +11,10 @@
 //     value never dominates;
 //   - connectivity hygiene: driver/fanout conflicts, floating inputs and
 //     bus-width mismatches at cell ports and stitch boundaries.
+//
+// The loop, liveness and connectivity rules run the netlist/structure.h
+// property checks the DRC also runs; only the stitch-boundary width check
+// and the value analysis are lint's own.
 //
 // All analyses are deterministic: single-threaded, iteration in index
 // order, findings emitted in (rule registration, cell/net id) order — the
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "netlist/netlist.h"
+#include "netlist/structure.h"
 
 namespace fpgasim {
 namespace lint {
@@ -142,6 +147,8 @@ class Emitter {
   /// Enters `rule` scope: subsequent emit() calls carry its id/severity.
   void rule(const char* id);
   void emit(std::string message, CellId cell = kInvalidCell, NetId net = kInvalidNet);
+  /// Emits each netlist/structure.h issue under the current rule.
+  void emit(std::vector<StructuralIssue> issues);
 
  private:
   LintReport& report_;
@@ -151,9 +158,6 @@ class Emitter {
   bool waived_ = false;
   std::size_t emitted_ = 0;
 };
-
-std::string cell_ref(const Netlist& nl, CellId c);
-std::string net_ref(const Netlist& nl, NetId n);
 
 void analyze_loops(const Netlist& nl, const LintOptions& opt, Emitter& out);
 void analyze_dead_logic(const Netlist& nl, const LintOptions& opt, Emitter& out);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "netlist/structure.h"
+
 namespace fpgasim {
 
 const char* to_string(CellType type) {
@@ -59,29 +61,46 @@ bool is_combinational(const Cell& cell) {
   return false;
 }
 
-std::vector<std::uint16_t> required_input_pins(const Cell& cell) {
+bool is_sequential(const Cell& cell) {
+  return cell.type != CellType::kConst && !is_combinational(cell);
+}
+
+std::span<const std::uint16_t> required_input_pins(const Cell& cell) {
+  static constexpr std::uint16_t kPins[] = {0, 1, 2};
   switch (cell.type) {
     case CellType::kConst:
       return {};
     case CellType::kLut:
       // kNot/kPass are unary; everything else consumes two operands
       // (kMux2's select, pin 2, is also mandatory).
-      if (cell.op == LutOp::kNot || cell.op == LutOp::kPass) return {0};
-      if (cell.op == LutOp::kMux2) return {0, 1, 2};
-      return {0, 1};
+      if (cell.op == LutOp::kNot || cell.op == LutOp::kPass) return {kPins, 1};
+      return {kPins, cell.op == LutOp::kMux2 ? 3u : 2u};
     case CellType::kAdd:
     case CellType::kMax:
-      return {0, 1};
-    case CellType::kDsp:
-      return {0, 1};  // C addend is optional
+    case CellType::kDsp:  // C addend is optional
+      return {kPins, 2};
+    case CellType::kFf:
+    case CellType::kSrl:
+    case CellType::kRelu:  // FF/SRL clock enable (pin 1) is optional
+    case CellType::kBram:  // write port / read address are optional (ROM mode)
+      return {kPins, 1};
+  }
+  return {};
+}
+
+std::span<const std::uint16_t> data_pins(const Cell& cell) {
+  static constexpr std::uint16_t kPins[] = {0, 1};
+  switch (cell.type) {
     case CellType::kFf:
     case CellType::kSrl:
     case CellType::kRelu:
-      return {0};  // clock enable (pin 1) is optional
-    case CellType::kBram:
-      return {0};  // write port / read address are optional (ROM mode)
+      return {kPins, 1};
+    case CellType::kAdd:
+    case CellType::kMax:
+      return {kPins, 2};
+    default:
+      return {};
   }
-  return {};
 }
 
 NetId Netlist::add_net(std::uint16_t width, std::string name) {
@@ -177,104 +196,40 @@ void Netlist::lock_all() {
 }
 
 std::vector<std::string> Netlist::validate() const {
+  // Exactly the faults that make a netlist unsafe to index; driver counts,
+  // required pins and cell-level widths are the DRC's and lint's business.
+  using enum StructuralFault;
   std::vector<std::string> problems;
-  std::vector<bool> is_input_port_net(nets_.size(), false);
-  for (const Port& port : ports_) {
-    if (port.net == kInvalidNet || port.net >= nets_.size()) {
-      problems.push_back("port '" + port.name + "' has invalid net");
-      continue;
-    }
-    if (port.dir == PortDir::kInput) is_input_port_net[port.net] = true;
-    if (nets_[port.net].width != port.width) {
-      problems.push_back("port '" + port.name + "' width mismatch with its net");
-    }
-  }
-  for (NetId n = 0; n < nets_.size(); ++n) {
-    const Net& net = nets_[n];
-    if (net.driver == kInvalidCell) {
-      if (!is_input_port_net[n] && !net.sinks.empty()) {
-        problems.push_back("net #" + std::to_string(n) + " ('" + net.name +
-                           "') has sinks but no driver");
-      }
-    } else if (net.driver >= cells_.size()) {
-      problems.push_back("net #" + std::to_string(n) + " has out-of-range driver");
-    } else {
-      const Cell& drv = cells_[net.driver];
-      if (net.driver_pin >= drv.outputs.size() || drv.outputs[net.driver_pin] != n) {
-        problems.push_back("net #" + std::to_string(n) + " driver pin inconsistent");
-      }
-    }
-    for (const auto& [cell, pin] : net.sinks) {
-      if (cell >= cells_.size()) {
-        problems.push_back("net #" + std::to_string(n) + " has out-of-range sink");
-      } else if (pin >= cells_[cell].inputs.size() || cells_[cell].inputs[pin] != n) {
-        problems.push_back("net #" + std::to_string(n) + " sink pin inconsistent");
-      }
+  for (const StructuralCheck check : {check_widths, check_drivers, check_sinks}) {
+    for (StructuralIssue& issue :
+         select_faults(check(*this), {kPortNet, kPortWidth, kDriverRange, kDriverPin,
+                                      kUndrivenSinks, kSinkRange, kSinkPin, kInputRange})) {
+      problems.push_back(std::move(issue.message));
     }
   }
   for (CellId c = 0; c < cells_.size(); ++c) {
     const Cell& cell = cells_[c];
-    for (NetId in : cell.inputs) {
-      if (in != kInvalidNet && in >= nets_.size()) {
-        problems.push_back("cell #" + std::to_string(c) + " input net out of range");
-      }
-    }
     if (cell.type == CellType::kBram && cell.rom_id >= 0 &&
         static_cast<std::size_t>(cell.rom_id) >= roms_.size()) {
-      problems.push_back("cell #" + std::to_string(c) + " rom_id out of range");
+      problems.push_back(cell_ref(*this, c) + " rom_id out of range");
     }
   }
   return problems;
 }
 
 std::size_t Netlist::prune_dead() {
-  // Backward reachability from output-port nets: a cell is live when it
-  // drives a live net; every input of a live cell is live.
-  std::vector<bool> net_live(nets_.size(), false);
-  std::vector<bool> cell_live(cells_.size(), false);
-  std::vector<NetId> worklist;
-  for (const Port& port : ports_) {
-    if (port.dir == PortDir::kOutput && port.net != kInvalidNet &&
-        port.net < nets_.size() && !net_live[port.net]) {
-      net_live[port.net] = true;
-      worklist.push_back(port.net);
-    }
-  }
-  while (!worklist.empty()) {
-    const NetId n = worklist.back();
-    worklist.pop_back();
-    const CellId driver = nets_[n].driver;
-    if (driver == kInvalidCell || driver >= cells_.size() || cell_live[driver]) continue;
-    cell_live[driver] = true;
-    for (const NetId in : cells_[driver].inputs) {
-      if (in != kInvalidNet && in < nets_.size() && !net_live[in]) {
-        net_live[in] = true;
-        worklist.push_back(in);
-      }
-    }
-  }
-  // A live cell's outputs stay even when unread (the cell exists, so its
-  // output nets must); input-port nets stay because they are interface.
-  for (CellId c = 0; c < cells_.size(); ++c) {
-    if (!cell_live[c]) continue;
-    for (const NetId out : cells_[c].outputs) {
-      if (out != kInvalidNet && out < nets_.size()) net_live[out] = true;
-    }
-  }
-  for (const Port& port : ports_) {
-    if (port.net != kInvalidNet && port.net < nets_.size()) net_live[port.net] = true;
-  }
+  const Liveness live = output_liveness(*this);
 
   // Stable compaction maps (old id -> new id).
   std::vector<CellId> cell_map(cells_.size(), kInvalidCell);
   std::vector<NetId> net_map(nets_.size(), kInvalidNet);
   CellId next_cell = 0;
   for (CellId c = 0; c < cells_.size(); ++c) {
-    if (cell_live[c]) cell_map[c] = next_cell++;
+    if (live.cells[c]) cell_map[c] = next_cell++;
   }
   NetId next_net = 0;
   for (NetId n = 0; n < nets_.size(); ++n) {
-    if (net_live[n]) net_map[n] = next_net++;
+    if (live.nets[n]) net_map[n] = next_net++;
   }
   const std::size_t removed = cells_.size() - next_cell;
   if (removed == 0 && next_net == nets_.size()) return 0;
@@ -282,7 +237,7 @@ std::size_t Netlist::prune_dead() {
   std::vector<Cell> cells;
   cells.reserve(next_cell);
   for (CellId c = 0; c < cells_.size(); ++c) {
-    if (!cell_live[c]) continue;
+    if (!live.cells[c]) continue;
     Cell cell = std::move(cells_[c]);
     for (NetId& in : cell.inputs) {
       if (in != kInvalidNet && in < net_map.size()) in = net_map[in];
@@ -295,7 +250,7 @@ std::size_t Netlist::prune_dead() {
   std::vector<Net> nets;
   nets.reserve(next_net);
   for (NetId n = 0; n < nets_.size(); ++n) {
-    if (!net_live[n]) continue;
+    if (!live.nets[n]) continue;
     Net net = std::move(nets_[n]);
     if (net.driver != kInvalidCell && net.driver < cell_map.size()) {
       net.driver = cell_map[net.driver];  // dead driver -> kInvalidCell
@@ -345,6 +300,18 @@ std::pair<CellId, NetId> Netlist::merge(const Netlist& other) {
     nets_.push_back(std::move(net));
   }
   return {cell_offset, net_offset};
+}
+
+std::string net_ref(const Netlist& nl, NetId n) {
+  std::string s = "net #" + std::to_string(n);
+  if (!nl.net(n).name.empty()) s += " ('" + nl.net(n).name + "')";
+  return s;
+}
+
+std::string cell_ref(const Netlist& nl, CellId c) {
+  std::string s = std::string(to_string(nl.cell(c).type)) + " cell #" + std::to_string(c);
+  if (!nl.cell(c).name.empty()) s += " ('" + nl.cell(c).name + "')";
+  return s;
 }
 
 }  // namespace fpgasim

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,8 +97,19 @@ std::uint16_t expected_output_width(const Cell& cell);
 /// can participate in a combinational loop).
 bool is_combinational(const Cell& cell);
 
+/// True when the cell holds clocked state (updates on the clock edge, not
+/// during settle): FF, SRL, BRAM, and DSPs with internal pipeline
+/// registers. kConst is neither combinational nor sequential.
+bool is_sequential(const Cell& cell);
+
 /// Input pins that must be connected for the cell to be well-formed.
-std::vector<std::uint16_t> required_input_pins(const Cell& cell);
+std::span<const std::uint16_t> required_input_pins(const Cell& cell);
+
+/// Data operand pins that must not be driven by a *wider* net (silent
+/// truncation): registers, shift registers, adders, max and ReLU cells.
+/// Narrower nets are fine: the fabric zero-extends implicitly, which the
+/// synthesized address arithmetic relies on.
+std::span<const std::uint16_t> data_pins(const Cell& cell);
 
 /// Aggregate statistics used by the resource-utilization experiments.
 struct NetlistStats {
@@ -153,8 +165,10 @@ class Netlist {
   void lock_all();
 
   /// Structural validation: every net has a driver or is a module input,
-  /// pin indices are consistent, port nets exist. Returns a list of
-  /// human-readable problems (empty == valid).
+  /// pin indices are consistent, port nets exist, widths at ports agree.
+  /// Returns a list of human-readable problems (empty == valid). The
+  /// checkpoint loader's gate on outside input; a subset of the
+  /// properties in netlist/structure.h.
   std::vector<std::string> validate() const;
 
   /// Removes every cell that is unreachable backward from an output port
@@ -178,5 +192,10 @@ class Netlist {
   std::vector<Port> ports_;
   std::vector<std::vector<std::uint64_t>> roms_;
 };
+
+/// "net #3 ('name')": how every report names a net.
+std::string net_ref(const Netlist& nl, NetId n);
+/// "LUT cell #7 ('name')": how every report names a cell.
+std::string cell_ref(const Netlist& nl, CellId c);
 
 }  // namespace fpgasim

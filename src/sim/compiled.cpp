@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <queue>
 #include <stdexcept>
 
+#include "netlist/comb_graph.h"
 #include "sim/eval.h"
 #include "sim/fixed.h"
 #include "sim/simulator.h"
@@ -52,78 +52,25 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
     return slot_of(cell.inputs[pin]);
   };
 
-  // Schedule nodes: combinational cells minus constants. Kahn over
-  // comb->comb edges detects loops and yields a topological order; levels
+  // Schedule: the CombGraph nodes (combinational cells minus constants) in
+  // stable (level, cell-id) order — deterministic and levelized; levels
   // are the longest-path depth, so cells within a level are independent.
   // (Pipelined-DSP MAC captures are NOT part of the settle schedule: they
   // are only needed once per clock edge, so they evaluate in step()
   // phase 1 against the already-settled fabric — the interpreter likewise
   // computes each MAC once per cycle.)
-  struct Node {
-    CellId cell;
-  };
-  std::vector<Node> nodes;
-  std::vector<std::int32_t> comb_node(netlist.cell_count(), -1);
-  for (CellId c = 0; c < netlist.cell_count(); ++c) {
-    const Cell& cell = netlist.cell(c);
-    if (cell.type == CellType::kConst || is_sequential_cell(cell)) continue;
-    comb_node[c] = static_cast<std::int32_t>(nodes.size());
-    nodes.push_back({c});
-  }
-
-  std::vector<int> indegree(nodes.size(), 0);
-  for (const Node& node : nodes) {
-    const Cell& cell = netlist.cell(node.cell);
-    for (NetId in : cell.inputs) {
-      if (in == kInvalidNet) continue;
-      const Net& net = netlist.net(in);
-      if (net.driver != kInvalidCell && comb_node[net.driver] >= 0) {
-        ++indegree[static_cast<std::size_t>(comb_node[node.cell])];
-      }
-    }
-  }
-  std::vector<int> level(nodes.size(), 0);
-  std::queue<std::size_t> ready;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (indegree[i] == 0) ready.push(i);
-  }
-  std::size_t processed = 0;
-  int max_level = -1;
-  while (!ready.empty()) {
-    const std::size_t i = ready.front();
-    ready.pop();
-    ++processed;
-    max_level = std::max(max_level, level[i]);
-    for (NetId out : netlist.cell(nodes[i].cell).outputs) {
-      if (out == kInvalidNet) continue;
-      for (const auto& [sink, pin] : netlist.net(out).sinks) {
-        (void)pin;
-        const std::int32_t j = comb_node[sink];
-        if (j < 0) continue;
-        level[static_cast<std::size_t>(j)] =
-            std::max(level[static_cast<std::size_t>(j)], level[i] + 1);
-        if (--indegree[static_cast<std::size_t>(j)] == 0) {
-          ready.push(static_cast<std::size_t>(j));
-        }
-      }
-    }
-  }
-  if (processed != nodes.size()) {
+  const CombGraph graph(netlist);
+  if (graph.has_cycle()) {
     throw std::runtime_error("compiled sim: combinational loop in netlist '" + name_ + "'");
   }
-
-  // Stable (level, cell-id) order: deterministic and levelized.
-  std::vector<std::size_t> order(nodes.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (level[x] != level[y]) return level[x] < level[y];
-    return nodes[x].cell < nodes[y].cell;
+  std::vector<CellId> order = graph.order();
+  std::sort(order.begin(), order.end(), [&](CellId x, CellId y) {
+    return std::pair(graph.level(x), x) < std::pair(graph.level(y), y);
   });
 
-  level_begin_.assign(static_cast<std::size_t>(max_level + 2), 0);
-  for (std::size_t i : order) {
-    const Node& node = nodes[i];
-    const Cell& cell = netlist.cell(node.cell);
+  level_begin_.assign(graph.depth() + 1, 0);
+  for (const CellId c : order) {
+    const Cell& cell = netlist.cell(c);
 
     CombOp op;
     op.width = cell.width;
@@ -133,55 +80,51 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
     op.b = pin_slot(cell, 1);
     op.c = pin_slot(cell, 2);
 
-    {
-      switch (cell.type) {
-        case CellType::kLut:
-          switch (cell.op) {
-            case LutOp::kAnd: op.op = Op::kAnd; break;
-            case LutOp::kOr: op.op = Op::kOr; break;
-            case LutOp::kXor: op.op = Op::kXor; break;
-            case LutOp::kNot: op.op = Op::kNot; break;
-            case LutOp::kMux2: op.op = Op::kMux2; break;
-            case LutOp::kEq: op.op = Op::kEq; break;
-            case LutOp::kLtU: op.op = Op::kLtU; break;
-            case LutOp::kPass: op.op = Op::kPass; break;
-            case LutOp::kTruth6: {
-              op.op = Op::kTruth6;
-              op.in_begin = static_cast<std::uint32_t>(truth_inputs_.size());
-              const std::size_t n = std::min(cell.inputs.size(), kMaxCombPins);
-              for (std::size_t p = 0; p < n; ++p) truth_inputs_.push_back(pin_slot(cell, p));
-              op.in_count = static_cast<std::uint32_t>(n);
-              break;
-            }
+    switch (cell.type) {
+      case CellType::kLut:
+        switch (cell.op) {
+          case LutOp::kAnd: op.op = Op::kAnd; break;
+          case LutOp::kOr: op.op = Op::kOr; break;
+          case LutOp::kXor: op.op = Op::kXor; break;
+          case LutOp::kNot: op.op = Op::kNot; break;
+          case LutOp::kMux2: op.op = Op::kMux2; break;
+          case LutOp::kEq: op.op = Op::kEq; break;
+          case LutOp::kLtU: op.op = Op::kLtU; break;
+          case LutOp::kPass: op.op = Op::kPass; break;
+          case LutOp::kTruth6: {
+            op.op = Op::kTruth6;
+            op.in_begin = static_cast<std::uint32_t>(truth_inputs_.size());
+            const std::size_t n = std::min(cell.inputs.size(), kMaxCombPins);
+            for (std::size_t p = 0; p < n; ++p) truth_inputs_.push_back(pin_slot(cell, p));
+            op.in_count = static_cast<std::uint32_t>(n);
+            break;
           }
-          break;
-        case CellType::kAdd:
-          op.op = (cell.init & 1) != 0 ? Op::kSub : Op::kAdd;
-          break;
-        case CellType::kMax: op.op = Op::kMax; break;
-        case CellType::kRelu: op.op = Op::kRelu; break;
-        case CellType::kDsp: op.op = Op::kDsp; break;  // stages == 0
-        default:
-          continue;  // unreachable: consts folded, sequentials below
-      }
-      // Primary output plus explicit fan-out of any further output pins.
-      std::uint32_t primary = zero_slot;
-      bool have_primary = false;
-      for (NetId out : cell.outputs) {
-        if (out == kInvalidNet) continue;
-        if (!have_primary) {
-          primary = slot_of(out);
-          have_primary = true;
-        } else {
-          if (op.fan_count == 0) op.fan_begin = static_cast<std::uint32_t>(fanout_.size());
-          fanout_.push_back(slot_of(out));
-          ++op.fan_count;
         }
-      }
-      if (!have_primary) continue;  // nothing observable
-      op.out = primary;
+        break;
+      case CellType::kAdd:
+        op.op = (cell.init & 1) != 0 ? Op::kSub : Op::kAdd;
+        break;
+      case CellType::kMax: op.op = Op::kMax; break;
+      case CellType::kRelu: op.op = Op::kRelu; break;
+      case CellType::kDsp: op.op = Op::kDsp; break;  // stages == 0
+      default:
+        continue;  // unreachable: consts folded, sequentials below
     }
-    level_begin_[static_cast<std::size_t>(level[i]) + 1] += 1;
+    // Primary output plus explicit fan-out of any further output pins.
+    bool have_primary = false;
+    for (NetId out : cell.outputs) {
+      if (out == kInvalidNet) continue;
+      if (!have_primary) {
+        op.out = slot_of(out);
+        have_primary = true;
+        continue;
+      }
+      if (op.fan_count == 0) op.fan_begin = static_cast<std::uint32_t>(fanout_.size());
+      fanout_.push_back(slot_of(out));
+      ++op.fan_count;
+    }
+    if (!have_primary) continue;  // nothing observable
+    level_begin_[graph.level(c) + 1] += 1;
     ops_.push_back(op);
   }
   // Prefix-sum the per-level counts into [begin, end) offsets.
@@ -220,7 +163,7 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
   std::uint32_t capture_index = 0;
   for (CellId c = 0; c < netlist.cell_count(); ++c) {
     const Cell& cell = netlist.cell(c);
-    if (!is_sequential_cell(cell)) continue;
+    if (!is_sequential(cell)) continue;
 
     SeqOp sq;
     sq.type = cell.type;
@@ -376,7 +319,7 @@ void SimPlan::build_init_images(const Netlist& netlist) {
   std::size_t si = 0;
   for (CellId c = 0; c < netlist.cell_count(); ++c) {
     const Cell& cell = netlist.cell(c);
-    if (!is_sequential_cell(cell)) continue;
+    if (!is_sequential(cell)) continue;
     SeqOp& sq = seq_[si++];
     if (cell.type != CellType::kBram || cell.rom_id < 0) continue;
     const auto& image = netlist.rom(cell.rom_id);
@@ -915,11 +858,11 @@ std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
   // Compiled pass: record every output, pre-edge (after inputs settle) and
   // post-edge (after step, before the next cycle's inputs).
   if (!plan) plan = SimPlan::compile(netlist);
-  CompiledSim cs(plan);
+  SimContext cs(plan);
   std::vector<int> in_idx(ins.size());
   std::vector<int> out_idx(outs.size());
-  for (std::size_t i = 0; i < ins.size(); ++i) in_idx[i] = cs.input_index(ins[i]->name);
-  for (std::size_t i = 0; i < outs.size(); ++i) out_idx[i] = cs.output_index(outs[i]->name);
+  for (std::size_t i = 0; i < ins.size(); ++i) in_idx[i] = plan->input_index(ins[i]->name);
+  for (std::size_t i = 0; i < outs.size(); ++i) out_idx[i] = plan->output_index(outs[i]->name);
   std::vector<std::uint64_t> got(static_cast<std::size_t>(cycles) * outs.size() * lanes * 2);
   const auto got_at = [&](int cycle, std::size_t out, std::size_t lane,
                           int phase) -> std::uint64_t& {

@@ -220,7 +220,6 @@ class SimContext {
   explicit SimContext(std::shared_ptr<const SimPlan> plan);
 
   const SimPlan& plan() const { return *plan_; }
-  const std::shared_ptr<const SimPlan>& plan_ptr() const { return plan_; }
 
   /// Returns to the plan's initial state (cycle 0, pipes flushed, written
   /// writable-memory rows re-imaged) without reallocating the arena.
@@ -233,9 +232,6 @@ class SimContext {
   /// l (masked to the port width). Fewer than kLanes entries leave the
   /// remaining lanes unchanged.
   void set_inputs(int input, std::span<const std::uint64_t> lanes);
-  void set_inputs(const std::string& name, std::span<const std::uint64_t> lanes) {
-    set_inputs(plan_->input_index(name), lanes);
-  }
   /// Broadcasts one value to every lane of an input port.
   void set_inputs(int input, std::uint64_t value_all_lanes);
 
@@ -255,9 +251,6 @@ class SimContext {
 
   /// Reads an output port into lanes[0..min(size, kLanes)).
   void get_outputs(int output, std::span<std::uint64_t> lanes) const;
-  void get_outputs(const std::string& name, std::span<std::uint64_t> lanes) const {
-    get_outputs(plan_->output_index(name), lanes);
-  }
   std::uint64_t get_output(int output, std::size_t lane) const;
 
   /// Raw net value of one lane (debug / white-box tests).
@@ -319,69 +312,6 @@ class SimContext {
   mutable bool dirty_ = false;
   std::uint64_t cycle_ = 0;
   std::size_t resets_ = 0;
-};
-
-/// Single-context convenience facade with the pre-split CompiledSim API:
-/// compiles a private plan from a netlist, or wraps a shared plan (the
-/// multi-context path — construction is then state-only).
-class CompiledSim {
- public:
-  static constexpr std::size_t kLanes = SimPlan::kLanes;
-
-  explicit CompiledSim(const Netlist& netlist) : CompiledSim(SimPlan::compile(netlist)) {}
-  explicit CompiledSim(std::shared_ptr<const SimPlan> plan)
-      : plan_(std::move(plan)), ctx_(plan_) {}
-
-  const std::shared_ptr<const SimPlan>& plan() const { return plan_; }
-  SimContext& context() { return ctx_; }
-
-  // -- port resolution ------------------------------------------------------
-  int input_index(const std::string& name) const { return plan_->input_index(name); }
-  int output_index(const std::string& name) const { return plan_->output_index(name); }
-
-  // -- batch driver API -----------------------------------------------------
-  void set_inputs(int input, std::span<const std::uint64_t> lanes) {
-    ctx_.set_inputs(input, lanes);
-  }
-  void set_inputs(const std::string& name, std::span<const std::uint64_t> lanes) {
-    ctx_.set_inputs(name, lanes);
-  }
-  void set_inputs(int input, std::uint64_t value_all_lanes) {
-    ctx_.set_inputs(input, value_all_lanes);
-  }
-  void set_input_frame(std::span<const std::uint64_t> frame) { ctx_.set_input_frame(frame); }
-  void get_output_frame(std::span<std::uint64_t> frame) const { ctx_.get_output_frame(frame); }
-
-  void step() { ctx_.step(); }
-  void run(int n) { ctx_.run(n); }
-  void reset() { ctx_.reset(); }
-
-  void get_outputs(int output, std::span<std::uint64_t> lanes) const {
-    ctx_.get_outputs(output, lanes);
-  }
-  void get_outputs(const std::string& name, std::span<std::uint64_t> lanes) const {
-    ctx_.get_outputs(name, lanes);
-  }
-  std::uint64_t get_output(int output, std::size_t lane) const {
-    return ctx_.get_output(output, lane);
-  }
-  std::uint64_t peek_net(NetId net, std::size_t lane) const {
-    return ctx_.peek_net(net, lane);
-  }
-  std::uint64_t cycle() const { return ctx_.cycle(); }
-
-  // -- compiled-plan statistics --------------------------------------------
-  std::size_t comb_ops() const { return plan_->comb_ops(); }
-  std::size_t seq_ops() const { return plan_->seq_ops(); }
-  std::size_t levels() const { return plan_->levels(); }
-  /// Total elements of packed state: this context's arena plus the
-  /// plan-shared ROM image.
-  std::size_t state_words() const { return plan_->context_words() + plan_->shared_words(); }
-  std::size_t lane_bytes() const { return plan_->lane_bytes(); }
-
- private:
-  std::shared_ptr<const SimPlan> plan_;
-  SimContext ctx_;
 };
 
 /// A/B oracle check. Drives `netlist` through the compiled simulator with

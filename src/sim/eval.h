@@ -37,21 +37,6 @@ namespace fpgasim {
 /// (LutOp::kTruth6 consumes up to six single-bit operands).
 inline constexpr std::size_t kMaxCombPins = 6;
 
-/// True when the cell holds clocked state (updates on step(), not during
-/// settle): FF, SRL, BRAM, and DSPs with internal pipeline registers.
-inline bool is_sequential_cell(const Cell& cell) {
-  switch (cell.type) {
-    case CellType::kFf:
-    case CellType::kSrl:
-    case CellType::kBram:
-      return true;
-    case CellType::kDsp:
-      return cell.stages > 0;
-    default:
-      return false;
-  }
-}
-
 /// Depth of a sequential cell's output pipeline (always >= 1; the BRAM
 /// pipe is the registered read value).
 inline std::size_t seq_pipe_depth(const Cell& cell) {

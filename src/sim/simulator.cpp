@@ -1,20 +1,13 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
+#include "netlist/comb_graph.h"
 #include "sim/eval.h"
 #include "sim/fixed.h"
 
 namespace fpgasim {
-namespace {
-
-// The interpreter and the compiled simulator must agree on what counts as
-// clocked state; the shared predicate lives in the sim/eval.h contract.
-bool is_sequential(const Cell& cell) { return is_sequential_cell(cell); }
-
-}  // namespace
 
 Simulator::Simulator(const Netlist& netlist) : netlist_(netlist) {
   values_.assign(netlist_.net_count(), 0);
@@ -43,41 +36,16 @@ Simulator::Simulator(const Netlist& netlist) : netlist_(netlist) {
     }
   }
 
-  // Topological order of combinational cells (Kahn).
-  std::vector<int> indegree(netlist_.cell_count(), 0);
-  std::vector<CellId> comb_cells;
-  for (CellId c = 0; c < netlist_.cell_count(); ++c) {
-    const Cell& cell = netlist_.cell(c);
-    if (is_sequential(cell)) continue;
-    comb_cells.push_back(c);
-    for (NetId in : cell.inputs) {
-      if (in == kInvalidNet) continue;
-      const Net& net = netlist_.net(in);
-      if (net.driver != kInvalidCell && !is_sequential(netlist_.cell(net.driver))) {
-        ++indegree[c];
-      }
-    }
-  }
-  std::queue<CellId> ready;
-  for (CellId c : comb_cells) {
-    if (indegree[c] == 0) ready.push(c);
-  }
-  while (!ready.empty()) {
-    const CellId c = ready.front();
-    ready.pop();
-    comb_order_.push_back(c);
-    for (NetId out : netlist_.cell(c).outputs) {
-      if (out == kInvalidNet) continue;
-      for (const auto& [sink, pin] : netlist_.net(out).sinks) {
-        if (is_sequential(netlist_.cell(sink))) continue;
-        if (--indegree[sink] == 0) ready.push(sink);
-      }
-    }
-  }
-  if (comb_order_.size() != comb_cells.size()) {
+  // Constants first, then the combinational cells in topological order.
+  const CombGraph graph(netlist_);
+  if (graph.has_cycle()) {
     throw std::runtime_error("simulator: combinational loop in netlist '" + netlist_.name() +
                              "'");
   }
+  for (CellId c = 0; c < netlist_.cell_count(); ++c) {
+    if (netlist_.cell(c).type == CellType::kConst) comb_order_.push_back(c);
+  }
+  comb_order_.insert(comb_order_.end(), graph.order().begin(), graph.order().end());
 
   // Sequential outputs start at 0; settle the combinational fabric.
   settle();

@@ -65,7 +65,7 @@ class Simulator {
   mutable std::vector<std::uint64_t> values_;  // per net
   mutable bool dirty_ = false;                 // input changed since last settle
   mutable std::size_t settles_ = 0;
-  std::vector<CellId> comb_order_;            // topological
+  std::vector<CellId> comb_order_;            // constants, then CombGraph order
   std::vector<CellId> seq_cells_;
   std::vector<std::deque<std::uint64_t>> pipes_;   // per cell (SRL/DSP/FF state)
   std::vector<std::vector<std::uint64_t>> mems_;   // per BRAM cell

@@ -33,20 +33,6 @@ struct DelayModel {
   double wire_discontinuity = 0.38;  // each IO column crossed
   double wire_unplaced = 0.20;       // fallback for unplaced endpoints
 
-  /// True for cells whose output is launched by the clock.
-  static bool is_sequential(const Cell& cell) {
-    switch (cell.type) {
-      case CellType::kFf:
-      case CellType::kSrl:
-      case CellType::kBram:
-        return true;
-      case CellType::kDsp:
-        return cell.stages > 0;
-      default:
-        return false;
-    }
-  }
-
   double comb_delay(const Cell& cell) const {
     switch (cell.type) {
       case CellType::kConst: return 0.0;

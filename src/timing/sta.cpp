@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <queue>
+#include <stdexcept>
+
+#include "netlist/comb_graph.h"
 
 namespace fpgasim {
 
@@ -25,8 +27,7 @@ double estimate_wire_delay(const Device& device, TileCoord from, TileCoord to,
 TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device& device,
                      const DelayModel& dm) {
   const std::size_t num_nets = netlist.net_count();
-  const std::size_t num_cells = netlist.cell_count();
-  const bool have_phys = phys.cell_loc.size() == num_cells;
+  const bool have_phys = phys.cell_loc.size() == netlist.cell_count();
 
   // Wire delay of one (net, sink index) connection.
   auto wire_delay = [&](NetId n, std::size_t sink_idx, CellId sink_cell) -> double {
@@ -48,36 +49,11 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
     return estimate_wire_delay(device, from, to, dm) + fanout_term;
   };
 
-  // Topological order of combinational cells (Kahn over net dependencies).
-  std::vector<int> indegree(num_cells, 0);
-  std::vector<CellId> order;
-  order.reserve(num_cells);
-  std::queue<CellId> ready;
-  for (CellId c = 0; c < num_cells; ++c) {
-    const Cell& cell = netlist.cell(c);
-    if (DelayModel::is_sequential(cell)) continue;
-    int deg = 0;
-    for (NetId in : cell.inputs) {
-      if (in == kInvalidNet) continue;
-      const Net& net = netlist.net(in);
-      if (net.driver != kInvalidCell && !DelayModel::is_sequential(netlist.cell(net.driver))) {
-        ++deg;
-      }
-    }
-    indegree[c] = deg;
-    if (deg == 0) ready.push(c);
-  }
-  while (!ready.empty()) {
-    const CellId c = ready.front();
-    ready.pop();
-    order.push_back(c);
-    for (NetId out : netlist.cell(c).outputs) {
-      if (out == kInvalidNet) continue;
-      for (const auto& [sink, pin] : netlist.net(out).sinks) {
-        if (DelayModel::is_sequential(netlist.cell(sink))) continue;
-        if (--indegree[sink] == 0) ready.push(sink);
-      }
-    }
+  // Arrival times propagate in topological order of the combinational
+  // cells; constants launch at 0 like input ports.
+  const CombGraph graph(netlist);
+  if (graph.has_cycle()) {
+    throw std::runtime_error("sta: combinational loop in netlist '" + netlist.name() + "'");
   }
 
   // Arrival time at each net, with predecessor tracking for the report.
@@ -85,11 +61,11 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
   std::vector<NetId> pred_net(num_nets, kInvalidNet);
   for (NetId n = 0; n < num_nets; ++n) {
     const Net& net = netlist.net(n);
-    if (net.driver != kInvalidCell && DelayModel::is_sequential(netlist.cell(net.driver))) {
+    if (net.driver != kInvalidCell && is_sequential(netlist.cell(net.driver))) {
       arrival[n] = dm.clk_to_q(netlist.cell(net.driver));
     }
   }
-  for (CellId c : order) {
+  for (const CellId c : graph.order()) {
     const Cell& cell = netlist.cell(c);
     if (cell.outputs.empty()) continue;
     double best = 0.0;
@@ -130,7 +106,7 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
     for (std::size_t s = 0; s < net.sinks.size(); ++s) {
       const auto [sink, pin] = net.sinks[s];
       const Cell& cell = netlist.cell(sink);
-      if (!DelayModel::is_sequential(cell)) continue;
+      if (!is_sequential(cell)) continue;
       ++result.endpoints;
       const double t = arrival[n] + wire_delay(n, s, sink) + dm.setup(cell);
       if (t > result.critical_path_ns) {
@@ -170,7 +146,7 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
       const Cell& drv = netlist.cell(net.driver);
       result.critical_path.push_back(std::string(to_string(drv.type)) + " '" + drv.name +
                                      "'");
-      if (DelayModel::is_sequential(drv)) break;
+      if (is_sequential(drv)) break;
       n = pred_net[n];
     }
   }

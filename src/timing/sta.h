@@ -27,7 +27,8 @@ struct TimingResult {
 };
 
 /// Runs STA. `phys` may have empty routes (placement-based estimates) or
-/// even no placement (pure logic-depth analysis).
+/// even no placement (pure logic-depth analysis). Throws
+/// std::runtime_error on a combinational loop, like both simulators.
 TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device& device,
                      const DelayModel& dm = DelayModel{});
 

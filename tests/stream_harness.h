@@ -1,6 +1,6 @@
 // Shared test harness: drives a layer component's stream interface with a
 // tensor (channel-major) and collects its output stream — one vector at a
-// time through the interpreter, or CompiledSim::kLanes tensors at once
+// time through the interpreter, or SimPlan::kLanes tensors at once
 // through the compiled bit-parallel simulator.
 #pragma once
 
@@ -72,16 +72,17 @@ inline std::vector<Fixed16> run_stream(Simulator& sim, const std::vector<Fixed16
 /// data-independent, so every lane advances in lock-step; the harness
 /// asserts that (in_ready/out_valid identical across lanes) as it goes.
 inline std::vector<std::vector<Fixed16>> run_stream_batch(
-    CompiledSim& sim, const std::vector<std::vector<Fixed16>>& inputs,
+    SimContext& sim, const std::vector<std::vector<Fixed16>>& inputs,
     std::size_t expected_outputs, long guard_cycles = 500000) {
-  constexpr std::size_t kLanes = CompiledSim::kLanes;
+  constexpr std::size_t kLanes = SimPlan::kLanes;
   EXPECT_EQ(inputs.size(), kLanes);
-  const int in_data = sim.input_index("in_data");
-  const int in_valid = sim.input_index("in_valid");
-  const int out_ready = sim.input_index("out_ready");
-  const int in_ready = sim.output_index("in_ready");
-  const int out_valid = sim.output_index("out_valid");
-  const int out_data = sim.output_index("out_data");
+  const SimPlan& plan = sim.plan();
+  const int in_data = plan.input_index("in_data");
+  const int in_valid = plan.input_index("in_valid");
+  const int out_ready = plan.input_index("out_ready");
+  const int in_ready = plan.output_index("in_ready");
+  const int out_valid = plan.output_index("out_valid");
+  const int out_data = plan.output_index("out_data");
 
   const auto all_lanes_equal = [&](int output) {
     std::uint64_t lanes[kLanes];

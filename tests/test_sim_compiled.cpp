@@ -170,28 +170,28 @@ TEST(CompiledSim, BatchApiDrivesLanesIndependently) {
   const NetId en = b.in_port("en", 1);
   b.out_port("acc", b.accum(x, en, b.zero(1), 16));
   const Netlist nl = std::move(b).take();
-  CompiledSim sim(nl);
-  const int x_in = sim.input_index("x");
-  const int en_in = sim.input_index("en");
-  const int acc_out = sim.output_index("acc");
+  SimContext sim(SimPlan::compile(nl));
+  const int x_in = sim.plan().input_index("x");
+  const int en_in = sim.plan().input_index("en");
+  const int acc_out = sim.plan().output_index("acc");
 
-  std::uint64_t xs[CompiledSim::kLanes];
-  std::uint64_t ens[CompiledSim::kLanes];
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  std::uint64_t xs[SimPlan::kLanes];
+  std::uint64_t ens[SimPlan::kLanes];
+  for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
     xs[l] = l + 1;
     ens[l] = l % 2;  // odd lanes accumulate, even lanes hold
   }
   sim.set_inputs(x_in, xs);
   sim.set_inputs(en_in, ens);
   sim.run(5);
-  std::uint64_t acc[CompiledSim::kLanes];
+  std::uint64_t acc[SimPlan::kLanes];
   sim.get_outputs(acc_out, acc);
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
     EXPECT_EQ(acc[l], l % 2 == 1 ? 5 * (l + 1) : 0u) << "lane " << l;
   }
   EXPECT_EQ(sim.cycle(), 5u);
-  EXPECT_GT(sim.comb_ops(), 0u);
-  EXPECT_GT(sim.levels(), 0u);
+  EXPECT_GT(sim.plan().comb_ops(), 0u);
+  EXPECT_GT(sim.plan().levels(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ TEST(CompiledSim, DetectsCombinationalLoop) {
   nl.connect_output(a, 0, n1);
   nl.connect_input(b2, 0, n1);
   nl.connect_output(b2, 0, n2);
-  EXPECT_THROW(CompiledSim sim(nl), std::runtime_error);
+  EXPECT_THROW(SimPlan plan(nl), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,16 +391,26 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
   // contexts. The fingerprint folds every output frame and the end-of-batch
   // state digest of all four 2048-vector batches, so any change to what the
   // compiled engine computes — including what reset() leaves behind between
-  // batches — moves it.
-  const std::vector<std::pair<std::string, std::uint64_t>> pinned{
-      {"lenet", 0xcc85505b094f7503ULL},     {"resblock", 0x053e32d6e3b28cf0ULL},
-      {"vgg16", 0xf6fc3f661e16cbc8ULL},     {"mobilenet", 0xfa2690557f1f8b8fULL},
-      {"resnet18", 0xc965bc5c9c3a8cb9ULL},  {"unet", 0x7e7148ec8eb34903ULL},
-      {"inception", 0x536a1e6a229f0feaULL},
+  // batches — moves it. The plan's schedule shape (levels, settle ops,
+  // clocked ops) is pinned alongside, so a levelizer change shows up even
+  // where it would leave the outputs alone.
+  struct Pin {
+    const char* name;
+    std::uint64_t fingerprint;
+    std::size_t levels, comb_ops, seq_ops;
+  };
+  const std::vector<Pin> pinned{
+      {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265},
+      {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224},
+      {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286},
+      {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307},
+      {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395},
+      {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255},
+      {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446},
   };
   ASSERT_EQ(model_zoo().size(), pinned.size());
   const Device device = make_xcku5p_sim();
-  for (const auto& [name, fingerprint] : pinned) {
+  for (const auto& [name, fingerprint, levels, comb_ops, seq_ops] : pinned) {
     const ZooEntry* entry = find_zoo_model(name);
     ASSERT_NE(entry, nullptr) << name;
     const CnnModel model = entry->make();
@@ -412,6 +422,9 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
     EngineOptions opt;
     opt.contexts = 2;
     InferenceEngine engine(netlist, opt);
+    EXPECT_EQ(engine.plan().levels(), levels) << name;
+    EXPECT_EQ(engine.plan().comb_ops(), comb_ops) << name;
+    EXPECT_EQ(engine.plan().seq_ops(), seq_ops) << name;
     const EngineStats stats = engine.serve(8192);
     EXPECT_TRUE(stats.ok()) << name << ": " << stats.first_failure;
     EXPECT_EQ(stats.fingerprint(), fingerprint)
@@ -424,16 +437,16 @@ TEST(CompiledSim, ResblockBatchInferenceBitMatchesGoldenAndInterpreter) {
   // lane must reproduce the golden DFG reference, and lane 17 is replayed
   // through the interpreter's stream harness as the oracle spot-check.
   FlowPair f(make_resblock_net(), 16);
-  std::vector<std::vector<Fixed16>> inputs(CompiledSim::kLanes);
-  std::vector<std::vector<Fixed16>> expected(CompiledSim::kLanes);
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  std::vector<std::vector<Fixed16>> inputs(SimPlan::kLanes);
+  std::vector<std::vector<Fixed16>> expected(SimPlan::kLanes);
+  for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
     const Tensor t = random_tensor(2, 8, 8, 2000 + l);
     inputs[l] = t.data;
     expected[l] = reference_inference(f.model, t);
   }
-  CompiledSim cs(f.composed.netlist);
+  SimContext cs(SimPlan::compile(f.composed.netlist));
   const auto out = run_stream_batch(cs, inputs, expected[0].size());
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
     ASSERT_EQ(out[l].size(), expected[l].size());
     for (std::size_t i = 0; i < out[l].size(); ++i) {
       ASSERT_EQ(out[l][i].raw, expected[l][i].raw) << "lane " << l << " word " << i;
@@ -462,16 +475,16 @@ conv c2 out=2 k=3
   const Device device = make_xcku5p_sim();
   run_monolithic_flow(device, flat, phys);
 
-  std::vector<std::vector<Fixed16>> inputs(CompiledSim::kLanes);
-  std::vector<std::vector<Fixed16>> expected(CompiledSim::kLanes);
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  std::vector<std::vector<Fixed16>> inputs(SimPlan::kLanes);
+  std::vector<std::vector<Fixed16>> expected(SimPlan::kLanes);
+  for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
     const Tensor t = random_tensor(2, 8, 8, 3000 + l);
     inputs[l] = t.data;
     expected[l] = reference_inference(model, t);
   }
-  CompiledSim cs(flat);
+  SimContext cs(SimPlan::compile(flat));
   const auto out = run_stream_batch(cs, inputs, expected[0].size());
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
     ASSERT_EQ(out[l].size(), expected[l].size());
     for (std::size_t i = 0; i < out[l].size(); ++i) {
       ASSERT_EQ(out[l][i].raw, expected[l][i].raw) << "lane " << l << " word " << i;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "synth/builder.h"
 #include "timing/sta.h"
 
@@ -190,6 +192,39 @@ TEST(Sta, MultiOutputCellPropagatesArrivalToEveryOutput) {
   const double expected =
       dm.ff_clk_to_q + dm.wire_base + dm.lut + dm.wire_base + dm.ff_setup;
   EXPECT_NEAR(result.critical_path_ns, expected, 1e-9);
+}
+
+TEST(Sta, CombinationalLoopIsRejected) {
+  // Two LUTs in a ring feeding a register: there is no topological order,
+  // so no critical path to report. Both simulators reject the same netlist.
+  const Device device = make_tiny_device();
+  Netlist nl("ring");
+  const NetId in = nl.add_net(1, "in");
+  nl.add_port({"in", PortDir::kInput, 1, in});
+  const NetId na = nl.add_net(1, "na");
+  const NetId nb = nl.add_net(1, "nb");
+  const NetId q = nl.add_net(1, "q");
+  Cell lut;
+  lut.type = CellType::kLut;
+  lut.op = LutOp::kAnd;
+  const CellId a = nl.add_cell(lut);
+  const CellId b = nl.add_cell(lut);
+  nl.connect_input(a, 0, in);
+  nl.connect_input(a, 1, nb);
+  nl.connect_output(a, 0, na);
+  nl.connect_input(b, 0, in);
+  nl.connect_input(b, 1, na);
+  nl.connect_output(b, 0, nb);
+  Cell ff;
+  ff.type = CellType::kFf;
+  const CellId reg = nl.add_cell(ff);
+  nl.connect_input(reg, 0, nb);
+  nl.connect_output(reg, 0, q);
+  nl.add_port({"q", PortDir::kOutput, 1, q});
+
+  PhysState phys;
+  phys.resize_for(nl);
+  EXPECT_THROW(run_sta(nl, phys, device), std::runtime_error);
 }
 
 TEST(Sta, SummaryMentionsFmax) {

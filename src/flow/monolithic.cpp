@@ -201,17 +201,9 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
     // Compiled-verify gate: A/B the final (post-phys-opt) netlist through
     // the compiled bit-parallel simulator against the interpreter oracle.
     stage.restart();
-    static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
-    const std::string diff = compare_compiled_vs_interpreter(
-        netlist, opt.compiled_verify_cycles, opt.seed, kVerifyLanes);
+    enforce_compiled_match(netlist, opt.compiled_verify_cycles, opt.seed, "monolithic");
     report.compiled_verify_seconds = stage.seconds();
-    report.compiled_verify_ok = diff.empty();
-    if (!diff.empty()) {
-      throw std::runtime_error("monolithic compiled-verify: " + diff);
-    }
-    LOG_DEBUG("monolithic compiled-verify: ok, %d cycles x %zu lanes (%.3fs)",
-              opt.compiled_verify_cycles, std::size(kVerifyLanes),
-              report.compiled_verify_seconds);
+    report.compiled_verify_ok = true;
   }
 
   report.stats = netlist.stats();

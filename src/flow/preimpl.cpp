@@ -112,17 +112,9 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     // levelized bit-parallel simulator against the interpreter oracle on
     // a sample of the 64-wide batch. Any bit divergence aborts the flow.
     stage.restart();
-    static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
-    const std::string diff = compare_compiled_vs_interpreter(
-        out.netlist, opt.compiled_verify_cycles, opt.seed, kVerifyLanes);
+    enforce_compiled_match(out.netlist, opt.compiled_verify_cycles, opt.seed, "preimpl");
     report.compiled_verify_seconds = stage.seconds();
-    report.compiled_verify_ok = diff.empty();
-    if (!diff.empty()) {
-      throw std::runtime_error("preimpl compiled-verify: " + diff);
-    }
-    LOG_DEBUG("preimpl compiled-verify: ok, %d cycles x %zu lanes (%.3fs)",
-              opt.compiled_verify_cycles, std::size(kVerifyLanes),
-              report.compiled_verify_seconds);
+    report.compiled_verify_ok = true;
   }
 
   stage.restart();

@@ -30,108 +30,65 @@ CompileService::SessionResult CompileService::compile(
     std::uint64_t seed_base) {
   SessionResult session;
   Stopwatch wall;
-  const std::string fabric = fabric_signature(device_);
 
   // Plan: the unique components this model needs, in deterministic order.
   const std::vector<ComponentRequest> requests =
       component_requests(model, impl, groups, seed_base);
   session.components = requests.size();
 
-  // Resolution ladder per component: LRU/disk via the store, else claim
-  // the in-flight slot (first claimer builds) or collect the future of
-  // whoever claimed it first.
-  std::vector<std::shared_ptr<const Checkpoint>> resolved(requests.size());
-  struct Claim {
-    std::size_t index;
-    Hash128 hash;
-    std::promise<std::shared_ptr<const Checkpoint>> promise;
-  };
-  std::vector<Claim> owned;
-  std::vector<std::pair<std::size_t, std::shared_future<std::shared_ptr<const Checkpoint>>>>
-      waits;
+  // Resolve every component through the store's claim ladder: a
+  // checkpoint now, another session's pending build, or a claim this
+  // session must build.
+  std::vector<CheckpointStore::Resolution> found(requests.size());
+  std::vector<std::size_t> owned;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (auto hit = store_.get(requests[i].key, device_)) {
-      resolved[i] = std::move(hit);
-      ++session.store_hits;
-      continue;
-    }
-    const Hash128 hash = CheckpointStore::content_hash(requests[i].key, fabric);
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(hash);
-    if (it != inflight_.end()) {
-      waits.emplace_back(i, it->second);
+    found[i] = store_.resolve(requests[i].key, device_);
+    if (found[i].claim) {
+      owned.push_back(i);
+    } else if (found[i].pending.valid()) {
       ++session.dedup_waits;
     } else {
-      Claim claim;
-      claim.index = i;
-      claim.hash = hash;
-      inflight_[hash] = claim.promise.get_future().share();
-      owned.push_back(std::move(claim));
+      ++session.store_hits;
     }
   }
 
-  // Build every owned miss as one batched pool submission. Seeds are
+  // Build every owned claim as one batched pool submission. Seeds are
   // content-derived, so the resulting checkpoints are byte-identical for
   // any pool width, session interleaving or request order. A failed build
-  // is recorded (never thrown mid-batch): every claimed promise must be
-  // fulfilled — with the value or the exception — or waiters in other
-  // sessions would be stranded on a slot nobody owns anymore.
-  std::atomic<std::size_t> built_here{0}, healed_hits{0};
+  // is recorded (never thrown mid-batch) and fails its claim, so waiters
+  // in other sessions get the error and a later session may retry.
   std::vector<std::exception_ptr> build_errors(owned.size());
   parallel_for(
       0, owned.size(),
       [&](std::size_t c) {
-        Claim& claim = owned[c];
-        const ComponentRequest& request = requests[claim.index];
-        const auto release = [&](std::shared_ptr<const Checkpoint> value,
-                                 std::exception_ptr error) {
-          {
-            std::lock_guard<std::mutex> lock(inflight_mutex_);
-            inflight_.erase(claim.hash);
-          }
-          if (error) {
-            claim.promise.set_exception(error);
-          } else {
-            claim.promise.set_value(std::move(value));
-          }
-        };
+        const ComponentRequest& request = requests[owned[c]];
+        CheckpointStore::Resolution& slot = found[owned[c]];
         try {
-          // Heal the claim/put race: the store may have gained the entry
-          // between our miss and the claim (another service instance, or
-          // a put that landed after our get).
-          if (auto hit = store_.get(request.key, device_)) {
-            resolved[claim.index] = hit;
-            healed_hits.fetch_add(1, std::memory_order_relaxed);
-            release(std::move(hit), nullptr);
-            return;
-          }
           Netlist netlist = build_component_netlist(model, impl, request, seed_base);
           OocOptions local = opt_.ooc;
-          local.seed = component_seed(opt_.ooc, claim.hash);
+          local.seed = component_seed(opt_.ooc, slot.claim->hash());
           OocResult result = implement_ooc(device_, std::move(netlist), local);
           // A freshly built component must pass the full checkpoint DRC
           // before it becomes shared store content.
           enforce_drc(run_checkpoint_drc(result.checkpoint, &device_),
                       "compile service build '" + request.key + "'");
-          auto shared = store_.put(request.key, device_, std::move(result.checkpoint));
-          resolved[claim.index] = shared;
-          built_here.fetch_add(1, std::memory_order_relaxed);
-          release(std::move(shared), nullptr);
+          slot.checkpoint = slot.claim->fulfil(std::move(result.checkpoint));
         } catch (...) {
           build_errors[c] = std::current_exception();
-          release(nullptr, build_errors[c]);
+          slot.claim->fail(build_errors[c]);
         }
       },
       opt_.pool);
-  session.built = built_here.load();
-  session.store_hits += healed_hits.load();
   for (const std::exception_ptr& error : build_errors) {
     if (error) std::rethrow_exception(error);
   }
+  session.built = owned.size();
 
   // Collect the components other sessions were already building; their
   // exceptions (a failed build) propagate to every waiter.
-  for (auto& [index, future] : waits) resolved[index] = future.get();
+  for (CheckpointStore::Resolution& slot : found) {
+    if (slot.pending.valid()) slot.checkpoint = slot.pending.get();
+  }
   session.ensure_seconds = wall.seconds();
 
   // Re-entrant flow stage: everything the flow needs rides in locals, the
@@ -139,7 +96,7 @@ CompileService::SessionResult CompileService::compile(
   std::unordered_map<std::string, const Checkpoint*> by_key;
   by_key.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    by_key[requests[i].key] = resolved[i].get();
+    by_key[requests[i].key] = found[i].checkpoint.get();
   }
   Stopwatch flow_watch;
   session.report = run_preimpl_cnn(

@@ -1,10 +1,10 @@
 // Compile-as-a-service (DESIGN.md §14): admits many concurrent
 // `run_preimpl_flow` sessions against one content-addressed
-// CheckpointStore. Component resolution is a three-level ladder — LRU
-// cache, on-disk store, build — and identical in-flight builds are
+// CheckpointStore. Component resolution is the store's claim ladder — LRU
+// cache, on-disk store, build — so identical in-flight builds are
 // deduplicated: the second session requesting a component blocks on the
-// first's future instead of rebuilding. Misses of one session are batched
-// into a single pool submission (parallel_for over the owned builds).
+// first's future instead of rebuilding. The claims of one session are
+// built as a single pool submission (parallel_for over the owned builds).
 //
 // Determinism contract: a component's OOC seed derives from its content
 // hash alone (never from arrival order, session index or pool width), so
@@ -14,10 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -78,9 +75,6 @@ class CompileService {
   };
   Stats stats() const;
 
-  const Device& device() const { return device_; }
-  CheckpointStore& store() const { return store_; }
-
   /// The content-derived component build seed: base.seed mixed with the
   /// component's 128-bit content hash. Arrival order never enters.
   static std::uint64_t component_seed(const OocOptions& base, const Hash128& hash);
@@ -89,9 +83,6 @@ class CompileService {
   const Device& device_;
   CheckpointStore& store_;
   ServiceOptions opt_;
-
-  std::mutex inflight_mutex_;
-  std::map<Hash128, std::shared_future<std::shared_ptr<const Checkpoint>>> inflight_;
 
   std::atomic<std::uint64_t> sessions_{0}, resolved_{0}, store_hits_{0}, built_{0},
       dedup_waits_{0};

@@ -177,34 +177,55 @@ bool CheckpointStore::contains(const std::string& key, const Device& device) con
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.map.count(hash) != 0) return true;
   }
+  return indexed(hash);
+}
+
+bool CheckpointStore::indexed(const Hash128& hash) const {
   std::lock_guard<std::mutex> lock(index_mutex_);
   return index_.count(hash) != 0;
 }
 
-std::shared_ptr<const Checkpoint> CheckpointStore::load_entry(const Hash128& hash,
-                                                              const std::string& key) {
-  // Deduplicate concurrent loads of one entry: the first caller
-  // deserializes and gates; everyone else blocks on its future. Combined
-  // with the LRU this yields "deserialized + gated at most once per
-  // process" while the entry stays resident.
-  std::shared_future<std::shared_ptr<const Checkpoint>> future;
+void CheckpointStore::release(const Hash128& hash) {
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  inflight_.erase(hash);
+}
+
+CheckpointStore::Resolution CheckpointStore::resolve(const std::string& key,
+                                                     const Device& device, bool claim) {
+  const Hash128 hash = content_hash(key, fabric_signature(device));
+  Resolution out;
+  if ((out.checkpoint = cache_find(hash))) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return out;
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
   std::promise<std::shared_ptr<const Checkpoint>> promise;
-  bool owner = false;
+  std::shared_future<std::shared_ptr<const Checkpoint>> loading;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_loads_.find(hash);
-    if (it != inflight_loads_.end()) {
-      future = it->second;
+    if ((out.checkpoint = cache_find(hash))) return out;
+    const auto it = inflight_.find(hash);
+    if (it != inflight_.end() && it->second.build) {
+      if (claim) out.pending = it->second.future;
+      return out;
+    }
+    if (it != inflight_.end()) {
+      loading = it->second.future;
     } else {
-      future = promise.get_future().share();
-      inflight_loads_[hash] = future;
-      owner = true;
+      const bool on_disk = indexed(hash);
+      if (!on_disk && !claim) return out;
+      inflight_[hash] = InFlight{promise.get_future().share(), !on_disk};
+      if (!on_disk) {
+        out.claim.reset(new Claim(*this, hash, key, device, std::move(promise)));
+        return out;
+      }
     }
   }
-  if (!owner) return future.get();
-
-  std::shared_ptr<const Checkpoint> result;
-  std::exception_ptr error;
+  if (loading.valid()) {
+    out.checkpoint = loading.get();  // another caller's disk load
+    return out;
+  }
+  // This caller owns the disk load; concurrent callers wait on `promise`.
   try {
     const std::string path = entry_path(hash);
     Checkpoint cp = load_checkpoint(path);
@@ -216,36 +237,36 @@ std::shared_ptr<const Checkpoint> CheckpointStore::load_entry(const Hash128& has
       lint::enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");
     }
     disk_loads_.fetch_add(1, std::memory_order_relaxed);
-    result = cache_insert(hash, std::make_shared<const Checkpoint>(std::move(cp)));
+    out.checkpoint = cache_insert(hash, std::make_shared<const Checkpoint>(std::move(cp)));
   } catch (...) {
-    error = std::current_exception();
+    release(hash);
+    promise.set_exception(std::current_exception());
+    throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_loads_.erase(hash);
-  }
-  if (error) {
-    promise.set_exception(error);
-    std::rethrow_exception(error);
-  }
-  promise.set_value(result);
-  return result;
+  release(hash);
+  promise.set_value(out.checkpoint);
+  return out;
 }
 
-std::shared_ptr<const Checkpoint> CheckpointStore::get(const std::string& key,
-                                                       const Device& device) {
-  const Hash128 hash = content_hash(key, fabric_signature(device));
-  if (auto cached = cache_find(hash)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return cached;
+CheckpointStore::Claim::~Claim() {
+  if (open_) {
+    fail(std::make_exception_ptr(
+        std::runtime_error("checkpoint store: build of '" + key_ + "' was abandoned")));
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (dir_.empty()) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    if (index_.count(hash) == 0) return nullptr;
-  }
-  return load_entry(hash, key);
+}
+
+std::shared_ptr<const Checkpoint> CheckpointStore::Claim::fulfil(Checkpoint checkpoint) {
+  auto shared = store_.put(key_, device_, std::move(checkpoint));
+  store_.release(hash_);
+  open_ = false;
+  promise_.set_value(shared);
+  return shared;
+}
+
+void CheckpointStore::Claim::fail(std::exception_ptr error) {
+  store_.release(hash_);
+  open_ = false;
+  promise_.set_exception(std::move(error));
 }
 
 void CheckpointStore::append_index_line(const IndexEntry& entry) {
@@ -264,12 +285,7 @@ std::shared_ptr<const Checkpoint> CheckpointStore::put(const std::string& key,
   const Hash128 hash = content_hash(key, fabric);
   auto shared = std::make_shared<const Checkpoint>(std::move(checkpoint));
   if (!dir_.empty()) {
-    bool known;
-    {
-      std::lock_guard<std::mutex> lock(index_mutex_);
-      known = index_.count(hash) != 0;
-    }
-    if (!known) {
+    if (!indexed(hash)) {
       // Atomic publish: serialize to a private temp file, rename into the
       // content-addressed name (rename is atomic within the directory),
       // then append the index line. A crash between the two leaves an

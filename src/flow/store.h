@@ -87,12 +87,52 @@ class CheckpointStore {
   /// True when the entry exists (in cache or on disk).
   bool contains(const std::string& key, const Device& device) const;
 
-  /// Fetches a checkpoint; nullptr when absent. Cache hits are lock-brief
-  /// pointer copies; misses deserialize from disk exactly once per
-  /// process (concurrent loads of the same entry are deduplicated), DRC
-  /// gate the bytes (plus fpgalint when StoreOptions::lint), then insert
-  /// into the LRU. Throws when a present entry fails to load or gate.
-  std::shared_ptr<const Checkpoint> get(const std::string& key, const Device& device);
+  /// The right to build an entry nobody holds. Until the holder fulfil()s
+  /// or fail()s it, every other resolve() of the entry gets its pending
+  /// future; dropping it unresolved fails it.
+  class Claim {
+   public:
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+    ~Claim();
+    const Hash128& hash() const { return hash_; }
+    /// put()s the checkpoint, frees the slot, then wakes the waiters.
+    std::shared_ptr<const Checkpoint> fulfil(Checkpoint checkpoint);
+    /// Frees the slot for a later claim, then hands `error` to the waiters.
+    void fail(std::exception_ptr error);
+
+   private:
+    friend class CheckpointStore;
+    Claim(CheckpointStore& store, const Hash128& hash, const std::string& key,
+          const Device& device, std::promise<std::shared_ptr<const Checkpoint>> promise)
+        : store_(store), hash_(hash), key_(key), device_(device), promise_(std::move(promise)) {}
+
+    CheckpointStore& store_;
+    Hash128 hash_;
+    std::string key_;
+    const Device& device_;
+    std::promise<std::shared_ptr<const Checkpoint>> promise_;
+    bool open_ = true;
+  };
+
+  /// What resolve() found; exactly one member is set.
+  struct Resolution {
+    std::shared_ptr<const Checkpoint> checkpoint;  // cache, or a disk load
+    std::shared_future<std::shared_ptr<const Checkpoint>> pending;  // another caller's build
+    std::unique_ptr<Claim> claim;  // absent everywhere: the caller builds it
+  };
+
+  /// The claim ladder, cache -> disk -> build. A cache hit takes only the
+  /// shard lock. A disk entry is deserialized, DRC gated (plus fpgalint
+  /// when StoreOptions::lint) and cached once per residency; concurrent
+  /// callers wait for that load. Without `claim`, an absent entry or one
+  /// being built resolves to nothing. Throws when an entry fails to load.
+  Resolution resolve(const std::string& key, const Device& device, bool claim = true);
+
+  /// The checkpoint resolve() finds without claiming; nullptr when absent.
+  std::shared_ptr<const Checkpoint> get(const std::string& key, const Device& device) {
+    return resolve(key, device, /*claim=*/false).checkpoint;
+  }
 
   /// Persists a checkpoint (atomic temp-file + rename, then an index
   /// append) and inserts it into the cache. Content-addressed: a put of
@@ -132,7 +172,8 @@ class CheckpointStore {
   std::shared_ptr<const Checkpoint> cache_find(const Hash128& hash);
   std::shared_ptr<const Checkpoint> cache_insert(const Hash128& hash,
                                                  std::shared_ptr<const Checkpoint> cp);
-  std::shared_ptr<const Checkpoint> load_entry(const Hash128& hash, const std::string& key);
+  bool indexed(const Hash128& hash) const;
+  void release(const Hash128& hash);
   std::string entry_path(const Hash128& hash) const;
   void append_index_line(const IndexEntry& entry);
 
@@ -143,8 +184,15 @@ class CheckpointStore {
   mutable std::mutex index_mutex_;
   std::map<Hash128, IndexEntry> index_;
 
+  // One slot per entry being loaded or built. An owner caches its result
+  // before it frees its slot and the ladder re-checks the cache under
+  // this lock, so a miss never races a finishing owner into a rerun.
+  struct InFlight {
+    std::shared_future<std::shared_ptr<const Checkpoint>> future;
+    bool build = false;  // a Claim's build, else a disk load
+  };
   std::mutex inflight_mutex_;
-  std::map<Hash128, std::shared_future<std::shared_ptr<const Checkpoint>>> inflight_loads_;
+  std::map<Hash128, InFlight> inflight_;
 
   mutable std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -9,6 +9,7 @@
 #include "sim/eval.h"
 #include "sim/fixed.h"
 #include "sim/simulator.h"
+#include "util/log.h"
 #include "util/rng.h"
 
 namespace fpgasim {
@@ -835,85 +836,106 @@ void SimContext::step_impl() {
   ++cycle_;
 }
 
-std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
-                                            std::uint64_t seed,
-                                            std::span<const int> lanes_to_check,
-                                            std::shared_ptr<const SimPlan> plan) {
-  constexpr std::size_t lanes = SimPlan::kLanes;
-  std::vector<const Port*> ins;
-  std::vector<const Port*> outs;
-  for (const Port& port : netlist.ports()) {
-    (port.dir == PortDir::kInput ? ins : outs).push_back(&port);
+std::string replay_lane(const Netlist& netlist, const SimPlan& plan, const LaneTrace& trace) {
+  if (trace.cycles < 1) {
+    throw std::invalid_argument("interpreter replay: cycles must be >= 1, got " +
+                                std::to_string(trace.cycles));
   }
-
-  // Seeded stimulus: every input port of every lane re-randomized each
-  // cycle (values masked by set_input on both sides).
-  Rng rng(seed);
-  std::vector<std::uint64_t> stim(static_cast<std::size_t>(cycles) * ins.size() * lanes);
-  for (std::uint64_t& v : stim) v = rng();
-  const auto stim_at = [&](int cycle, std::size_t in, std::size_t lane) {
-    return stim[(static_cast<std::size_t>(cycle) * ins.size() + in) * lanes + lane];
+  const std::size_t ins = plan.input_count();
+  const std::size_t outs = plan.output_count();
+  const auto diverged = [](const std::string& what, std::uint64_t want, std::uint64_t have) {
+    return what + ": interpreter " + std::to_string(want) + ", compiled " +
+           std::to_string(have);
   };
-
-  // Compiled pass: record every output, pre-edge (after inputs settle) and
-  // post-edge (after step, before the next cycle's inputs).
-  if (!plan) plan = SimPlan::compile(netlist);
-  SimContext cs(plan);
-  std::vector<int> in_idx(ins.size());
-  std::vector<int> out_idx(outs.size());
-  for (std::size_t i = 0; i < ins.size(); ++i) in_idx[i] = plan->input_index(ins[i]->name);
-  for (std::size_t i = 0; i < outs.size(); ++i) out_idx[i] = plan->output_index(outs[i]->name);
-  std::vector<std::uint64_t> got(static_cast<std::size_t>(cycles) * outs.size() * lanes * 2);
-  const auto got_at = [&](int cycle, std::size_t out, std::size_t lane,
-                          int phase) -> std::uint64_t& {
-    return got[((static_cast<std::size_t>(cycle) * outs.size() + out) * lanes + lane) * 2 +
-               static_cast<std::size_t>(phase)];
-  };
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-      cs.set_inputs(in_idx[i],
-                    std::span<const std::uint64_t>(
-                        &stim[(static_cast<std::size_t>(cycle) * ins.size() + i) * lanes],
-                        lanes));
+  Simulator sim(netlist);
+  for (int cycle = 0; cycle < trace.cycles; ++cycle) {
+    const auto row = static_cast<std::size_t>(cycle);
+    for (std::size_t i = 0; i < ins; ++i) {
+      sim.set_input(plan.input_name(i), trace.inputs[row * ins + i]);
     }
-    for (std::size_t o = 0; o < outs.size(); ++o) {
-      for (std::size_t l = 0; l < lanes; ++l) got_at(cycle, o, l, 0) = cs.get_output(out_idx[o], l);
-    }
-    cs.step();
-    for (std::size_t o = 0; o < outs.size(); ++o) {
-      for (std::size_t l = 0; l < lanes; ++l) got_at(cycle, o, l, 1) = cs.get_output(out_idx[o], l);
-    }
-  }
-
-  // Interpreter oracle: replay each requested lane's trajectory.
-  std::vector<int> check(lanes_to_check.begin(), lanes_to_check.end());
-  if (check.empty()) {
-    for (std::size_t l = 0; l < lanes; ++l) check.push_back(static_cast<int>(l));
-  }
-  for (const int lane : check) {
-    Simulator sim(netlist);
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      for (std::size_t i = 0; i < ins.size(); ++i) {
-        sim.set_input(ins[i]->name, stim_at(cycle, i, static_cast<std::size_t>(lane)));
-      }
-      for (int phase = 0; phase < 2; ++phase) {
-        if (phase == 1) sim.step();
-        for (std::size_t o = 0; o < outs.size(); ++o) {
-          const std::uint64_t want = sim.get_output(outs[o]->name);
-          const std::uint64_t have =
-              got_at(cycle, o, static_cast<std::size_t>(lane), phase);
-          if (want != have) {
-            return "divergence in '" + netlist.name() + "': cycle " +
-                   std::to_string(cycle) + (phase == 0 ? " pre-edge" : " post-edge") +
-                   ", port '" + outs[o]->name + "', lane " + std::to_string(lane) +
-                   ": interpreter " + std::to_string(want) + ", compiled " +
-                   std::to_string(have);
-          }
+    for (const bool post : {false, true}) {
+      const std::vector<std::uint64_t>& recorded = post ? trace.outputs : trace.pre_edge;
+      if (post) sim.step();
+      if (recorded.empty()) continue;
+      for (std::size_t o = 0; o < outs; ++o) {
+        const std::uint64_t want = sim.get_output(plan.output_name(o));
+        if (want != recorded[row * outs + o]) {
+          return diverged("cycle " + std::to_string(cycle) + (post ? " post-edge" : " pre-edge") +
+                              " port '" + plan.output_name(o) + "'",
+                          want, recorded[row * outs + o]);
         }
       }
     }
   }
+  // Deep check: every net after the last cycle, so the A/B bites even
+  // while a design's outputs are still in their pipeline latency shadow.
+  for (std::size_t n = 0; n < trace.nets.size(); ++n) {
+    const std::uint64_t want = sim.peek_net(static_cast<NetId>(n));
+    if (want != trace.nets[n]) {
+      return diverged("net " + std::to_string(n) + " (end of run)", want, trace.nets[n]);
+    }
+  }
   return {};
+}
+
+std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
+                                            std::uint64_t seed,
+                                            std::span<const int> lanes_to_check,
+                                            std::shared_ptr<const SimPlan> plan) {
+  if (!plan) plan = SimPlan::compile(netlist);
+  const std::size_t ins = plan->input_count();
+  const std::size_t outs = plan->output_count();
+
+  std::vector<int> check(lanes_to_check.begin(), lanes_to_check.end());
+  if (check.empty()) {
+    for (std::size_t l = 0; l < kLanes; ++l) check.push_back(static_cast<int>(l));
+  }
+  std::vector<LaneTrace> traces(check.size());
+
+  // Compiled pass over seeded stimulus: every input port of every lane
+  // re-randomized each cycle (values masked by the port width on both
+  // sides) as one port-major frame. Record each checked lane's inputs and
+  // every output, pre-edge (after inputs settle) and post-edge (after
+  // step). cycles < 1 records nothing and reaches replay_lane, which throws.
+  Rng rng(seed);
+  std::vector<std::uint64_t> frame(ins * kLanes);
+  SimContext cs(plan);
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (std::uint64_t& v : frame) v = rng();
+    cs.set_input_frame(frame);
+    for (const bool post : {false, true}) {
+      if (post) cs.step();
+      for (std::size_t t = 0; t < check.size(); ++t) {
+        const auto lane = static_cast<std::size_t>(check[t]);
+        for (std::size_t i = 0; i < ins && !post; ++i) {
+          traces[t].inputs.push_back(frame[i * kLanes + lane]);
+        }
+        for (std::size_t o = 0; o < outs; ++o) {
+          (post ? traces[t].outputs : traces[t].pre_edge)
+              .push_back(cs.get_output(static_cast<int>(o), lane));
+        }
+      }
+    }
+  }
+
+  for (std::size_t t = 0; t < check.size(); ++t) {
+    traces[t].cycles = cycles;
+    const std::string diff = replay_lane(netlist, *plan, traces[t]);
+    if (!diff.empty()) {
+      return "divergence in '" + netlist.name() + "': lane " + std::to_string(check[t]) +
+             " " + diff;
+    }
+  }
+  return {};
+}
+
+void enforce_compiled_match(const Netlist& netlist, int cycles, std::uint64_t seed,
+                            const std::string& where) {
+  static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
+  const std::string diff = compare_compiled_vs_interpreter(netlist, cycles, seed, kVerifyLanes);
+  if (!diff.empty()) throw std::runtime_error(where + " compiled-verify: " + diff);
+  LOG_DEBUG("%s compiled-verify: ok, %d cycles x %zu lanes", where.c_str(), cycles,
+            std::size(kVerifyLanes));
 }
 
 }  // namespace fpgasim

@@ -314,17 +314,39 @@ class SimContext {
   std::size_t resets_ = 0;
 };
 
+/// One lane's recorded compiled trajectory. pre_edge (outputs once the
+/// inputs settle) and nets (every net after the last cycle) are optional:
+/// left empty, they are not compared.
+struct LaneTrace {
+  int cycles = 0;
+  std::vector<std::uint64_t> inputs;    // [cycle * input_count + i], plan order
+  std::vector<std::uint64_t> outputs;   // [cycle * output_count + o], post-edge
+  std::vector<std::uint64_t> pre_edge;  // empty, or shaped like outputs
+  std::vector<std::uint64_t> nets;      // empty, or [net]
+};
+
+/// The interpreter oracle: replays `trace` through a fresh Simulator of
+/// `netlist` (the design `plan` was compiled from). Returns "" when every
+/// recorded value matches, else the first divergence ("cycle C post-edge
+/// port 'P': ..." or "net N (end of run): ..."). Throws
+/// std::invalid_argument when trace.cycles < 1.
+std::string replay_lane(const Netlist& netlist, const SimPlan& plan, const LaneTrace& trace);
+
 /// A/B oracle check. Drives `netlist` through the compiled simulator with
 /// `cycles` cycles of seeded random stimulus (kLanes independent vectors,
-/// every input port re-randomized each cycle), then replays each lane in
-/// `lanes_to_check` (empty = all lanes) through the interpreter and
-/// compares every output port on every cycle, pre- and post-edge.
-/// Returns the empty string when bit-identical, else a description of the
-/// first divergence. When `plan` is given it is reused (no recompilation);
-/// it must have been compiled from `netlist`.
+/// every input port re-randomized each cycle), then replay_lane()s a
+/// trace with pre-edge outputs of each lane in `lanes_to_check` (empty =
+/// all lanes). Returns the empty string when bit-identical, else a
+/// description of the first divergence. When `plan` is given it is reused
+/// (no recompilation); it must have been compiled from `netlist`.
 std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
                                             std::uint64_t seed,
                                             std::span<const int> lanes_to_check = {},
                                             std::shared_ptr<const SimPlan> plan = nullptr);
+
+/// The flows' compiled-verify gate: compare_compiled_vs_interpreter on a
+/// fixed lane sample; throws std::runtime_error naming `where` on a diff.
+void enforce_compiled_match(const Netlist& netlist, int cycles, std::uint64_t seed,
+                            const std::string& where);
 
 }  // namespace fpgasim

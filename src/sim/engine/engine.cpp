@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "sim/simulator.h"
 #include "util/aligned.h"
 #include "util/env.h"
 #include "util/hash.h"
@@ -115,13 +114,13 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
       static_cast<std::size_t>((opt_.check_every != 0
                                     ? shard_index / opt_.check_every
                                     : 0) % kLanes);
-  // Audited shards record one lane's full stimulus/response trajectory for
-  // the interpreter replay below.
-  std::vector<std::uint64_t> audit_stim;
-  std::vector<std::uint64_t> audit_out;
+  // Audited shards record one lane's trajectory for the interpreter
+  // replay below.
+  LaneTrace trace;
   if (audited) {
-    audit_stim.reserve(static_cast<std::size_t>(cycles) * in_count);
-    audit_out.reserve(static_cast<std::size_t>(cycles) * out_count);
+    trace.cycles = cycles;
+    trace.inputs.reserve(static_cast<std::size_t>(cycles) * in_count);
+    trace.outputs.reserve(static_cast<std::size_t>(cycles) * out_count);
   }
 
   Rng rng(engine_shard_seed(opt_.seed, shard_index));
@@ -134,10 +133,10 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
     for (const std::uint64_t v : out_frame) checksum = (checksum ^ v) * kFnvPrime;
     if (audited) {
       for (std::size_t i = 0; i < in_count; ++i) {
-        audit_stim.push_back(in_frame[i * kLanes + audit_lane]);
+        trace.inputs.push_back(in_frame[i * kLanes + audit_lane]);
       }
       for (std::size_t o = 0; o < out_count; ++o) {
-        audit_out.push_back(out_frame[o * kLanes + audit_lane]);
+        trace.outputs.push_back(out_frame[o * kLanes + audit_lane]);
       }
     }
   }
@@ -147,15 +146,12 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
   // makes the checksum (and the width-identity fingerprint built on it)
   // sensitive to the whole datapath.
   checksum = (checksum ^ ctx.state_digest()) * kFnvPrime;
-  // Audited shards also snapshot the audit lane's final per-net state for
-  // the interpreter comparison below (must copy before the context is
-  // released to another shard).
-  const std::size_t net_count = plan_->net_count();
-  std::vector<std::uint64_t> audit_nets;
+  // Audited shards also snapshot the audit lane's final per-net state
+  // (must copy before the context is released to another shard).
   if (audited) {
-    audit_nets.resize(net_count);
-    for (std::size_t n = 0; n < net_count; ++n) {
-      audit_nets[n] = ctx.peek_net(static_cast<NetId>(n), audit_lane);
+    trace.nets.resize(plan_->net_count());
+    for (std::size_t n = 0; n < trace.nets.size(); ++n) {
+      trace.nets[n] = ctx.peek_net(static_cast<NetId>(n), audit_lane);
     }
   }
   release_context(ci);
@@ -165,45 +161,16 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
   out.checksum = checksum;
 
   if (!audited) return;
-  // Interpreter oracle: replay the audited lane vector-for-vector and
-  // compare every output port on every cycle.
   out.oracle_checks = 1;
-  Simulator oracle(netlist_);
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    for (std::size_t i = 0; i < in_count; ++i) {
-      oracle.set_input(plan_->input_name(i),
-                       audit_stim[static_cast<std::size_t>(cycle) * in_count + i]);
-    }
-    oracle.step();
-    for (std::size_t o = 0; o < out_count; ++o) {
-      const std::uint64_t want = oracle.get_output(plan_->output_name(o));
-      std::uint64_t have = audit_out[static_cast<std::size_t>(cycle) * out_count + o];
-      if (opt_.corrupt_oracle) have ^= 1;
-      if (want != have) {
-        out.oracle_failures = 1;
-        out.failure = "shard " + std::to_string(shard_index) + " lane " +
-                      std::to_string(audit_lane) + " cycle " + std::to_string(cycle) +
-                      " port '" + plan_->output_name(o) + "': interpreter " +
-                      std::to_string(want) + ", compiled " + std::to_string(have);
-        return;
-      }
-    }
+  if (opt_.corrupt_oracle) {
+    for (std::uint64_t& v : trace.outputs) v ^= 1;
+    for (std::uint64_t& v : trace.nets) v ^= 1;
   }
-  // Deep check: every net of the audited lane at end of batch, so the A/B
-  // bites even while the design's outputs are still in their pipeline
-  // latency shadow.
-  for (std::size_t n = 0; n < net_count; ++n) {
-    const std::uint64_t want = oracle.peek_net(static_cast<NetId>(n));
-    std::uint64_t have = audit_nets[n];
-    if (opt_.corrupt_oracle) have ^= 1;
-    if (want != have) {
-      out.oracle_failures = 1;
-      out.failure = "shard " + std::to_string(shard_index) + " lane " +
-                    std::to_string(audit_lane) + " net " + std::to_string(n) +
-                    " (end of batch): interpreter " + std::to_string(want) +
-                    ", compiled " + std::to_string(have);
-      return;
-    }
+  const std::string diff = replay_lane(netlist_, *plan_, trace);
+  if (!diff.empty()) {
+    out.oracle_failures = 1;
+    out.failure = "shard " + std::to_string(shard_index) + " lane " +
+                  std::to_string(audit_lane) + " " + diff;
   }
 }
 

@@ -23,10 +23,10 @@
 //
 // Statistical golden-model agreement: every `check_every`-th shard also
 // replays one rotating lane of its whole batch through the interpreter
-// (sim/simulator.h, the semantics oracle) and compares every output port
-// on every cycle — a continuous A/B audit at ~1/(64*check_every) of the
-// serving cost, in the spirit of the compiled/interpreter cross-check
-// that gates the flow tests.
+// (sim/compiled.h replay_lane, the semantics oracle), comparing every
+// output port on every cycle and every net at batch end — a continuous
+// A/B audit at ~1/(64*check_every) of the serving cost, in the spirit of
+// the compiled/interpreter cross-check that gates the flow tests.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +51,9 @@ struct EngineOptions {
   std::size_t check_every = 64;
   /// Stimulus seed; shard s draws from Rng(mix(seed, s)).
   std::uint64_t seed = 1;
-  /// Test hook: corrupts the compiled-side value inside every oracle
-  /// comparison, so each audited shard must report a failure (proves the
-  /// statistical check actually bites).
+  /// Test hook: flips a bit of every recorded compiled value in each
+  /// audited shard's trace before the replay, so each audited shard must
+  /// report a failure (proves the statistical check actually bites).
   bool corrupt_oracle = false;
 };
 

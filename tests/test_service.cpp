@@ -198,6 +198,121 @@ TEST(CheckpointStore, RemoveUnreferencedDropsExactlyTheUnreachable) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CheckpointStore, ConcurrentDiskLoadsAreDeduplicated) {
+  ServiceFixture fixture;
+  const std::string dir = fresh_dir("load_dedup");
+  StoreOptions opt;
+  opt.dir = dir;
+  opt.lint = true;  // a slower gated load widens the window readers share
+  const auto requests = component_requests(fixture.chain.model, fixture.chain.impl,
+                                           fixture.chain.groups);
+  ASSERT_FALSE(requests.empty());
+  const std::string key = requests[0].key;
+  {
+    CheckpointStore store(opt);
+    Netlist netlist = build_component_netlist(fixture.chain.model, fixture.chain.impl,
+                                              requests[0]);
+    OocResult built = implement_ooc(fixture.device, std::move(netlist), {});
+    ASSERT_NE(store.put(key, fixture.device, std::move(built.checkpoint)), nullptr);
+  }
+  // Each reopen leaves the entry on disk only. Eight latch-aligned readers
+  // must share one deserialization and one cached object; several rounds
+  // give the readers many chances to overlap a load.
+  for (int round = 0; round < 10; ++round) {
+    CheckpointStore store(opt);
+    constexpr std::size_t kReaders = 8;
+    std::vector<std::shared_ptr<const Checkpoint>> got(kReaders);
+    Latch start(kReaders + 1);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = store.get(key, fixture.device);
+      });
+    }
+    start.arrive_and_wait();
+    for (std::thread& thread : threads) thread.join();
+    ASSERT_NE(got[0], nullptr);
+    for (std::size_t t = 1; t < kReaders; ++t) EXPECT_EQ(got[t].get(), got[0].get()) << t;
+    EXPECT_EQ(store.stats().disk_loads, 1u) << "round " << round;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CompileService, FailedBuildReachesEveryWaiterAndFreesItsClaim) {
+  // One conv layer whose only component needs far more DSPs than the tiny
+  // device has, so every build of it fails.
+  const CnnModel model = parse_arch_def(R"(network too_wide
+input 16 8 8
+conv c1 out=16 k=3
+)");
+  const ModelImpl impl = choose_implementation(model, 256);
+  const auto groups = default_grouping(model);
+  const auto requests = component_requests(model, impl, groups);
+  ASSERT_EQ(requests.size(), 1u);
+  const Device device = make_tiny_device();
+  const std::string kNoFit = "does not fit the device";
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    CheckpointStore store;
+    ThreadPool pool(width);
+    ServiceOptions service_opt;
+    service_opt.pool = &pool;
+    CompileService service(device, store, service_opt);
+    // Sessions share one exception object. Each keeps its own reference
+    // and the messages are read after the join, so the object is only
+    // touched by one thread at a time.
+    const auto compile_error = [&]() -> std::exception_ptr {
+      try {
+        service.compile(model, impl, groups);
+      } catch (...) {
+        return std::current_exception();
+      }
+      return nullptr;
+    };
+    const auto message = [](const std::exception_ptr& error) -> std::string {
+      if (!error) return "compiled without error";
+      try {
+        std::rethrow_exception(error);
+      } catch (const std::exception& e) {
+        return e.what();
+      }
+    };
+
+    constexpr std::size_t kSessions = 4;
+    std::vector<std::exception_ptr> errors(kSessions);
+    Latch start(kSessions + 1);
+    std::vector<std::thread> threads;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      threads.emplace_back([&, s] {
+        start.arrive_and_wait();
+        errors[s] = compile_error();
+      });
+    }
+    start.arrive_and_wait();
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      const std::string text = message(errors[s]);
+      EXPECT_NE(text.find(kNoFit), std::string::npos)
+          << "session " << s << " at width " << width << ": " << text;
+    }
+    EXPECT_EQ(service.stats().built, 0u);
+    EXPECT_EQ(store.stats().cache_entries, 0u);
+    EXPECT_EQ(store.get(requests[0].key, device), nullptr);
+
+    // The failed claims freed their slot: the entry is claimable again,
+    // and a later session builds it anew instead of reading a stale future.
+    {
+      CheckpointStore::Resolution again = store.resolve(requests[0].key, device);
+      EXPECT_NE(again.claim, nullptr);
+      EXPECT_FALSE(again.pending.valid());
+    }  // dropped unresolved, which frees the slot again
+    const std::string later = message(compile_error());
+    EXPECT_NE(later.find(kNoFit), std::string::npos) << later;
+    EXPECT_EQ(service.stats().built, 0u);
+  }
+}
+
 TEST(CompileService, ConcurrentSessionsBuildEachSignatureOnce) {
   ServiceFixture fixture;
   // 8 concurrent sessions, mixed networks, at build-pool widths 1 and 4.

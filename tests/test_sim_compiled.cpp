@@ -370,6 +370,74 @@ TEST(CompiledSim, LeNetBothFlowsMatchInterpreter) {
   EXPECT_EQ(compare_compiled_vs_interpreter(f.flat, 32, 1002), "");
 }
 
+TEST(CompiledSim, ReplayCatchesEveryKindOfDivergence) {
+  // Record lane 5 of a composed LeNet with every optional part of the
+  // trace, then corrupt one recorded value of each kind.
+  const Device device = make_xcku5p_sim();
+  const CnnModel model = make_lenet5();
+  const ModelImpl impl = choose_implementation(model, 16);
+  CheckpointStore store;
+  CompileService service(device, store);
+  const Netlist nl = service.compile(model, impl, default_grouping(model)).design.netlist;
+  const auto plan = SimPlan::compile(nl);
+  const std::size_t ins = plan->input_count();
+  const std::size_t outs = plan->output_count();
+  ASSERT_GT(outs, 0u);
+  constexpr std::size_t kLane = 5;
+
+  LaneTrace trace;
+  trace.cycles = 24;
+  SimContext ctx(plan);
+  Rng rng(77);
+  std::vector<std::uint64_t> frame(ins * SimPlan::kLanes);
+  for (int cycle = 0; cycle < trace.cycles; ++cycle) {
+    for (std::uint64_t& v : frame) v = rng();
+    ctx.set_input_frame(frame);
+    for (std::size_t i = 0; i < ins; ++i) {
+      trace.inputs.push_back(frame[i * SimPlan::kLanes + kLane]);
+    }
+    for (std::size_t o = 0; o < outs; ++o) {
+      trace.pre_edge.push_back(ctx.get_output(static_cast<int>(o), kLane));
+    }
+    ctx.step();
+    for (std::size_t o = 0; o < outs; ++o) {
+      trace.outputs.push_back(ctx.get_output(static_cast<int>(o), kLane));
+    }
+  }
+  for (std::size_t n = 0; n < plan->net_count(); ++n) {
+    trace.nets.push_back(ctx.peek_net(static_cast<NetId>(n), kLane));
+  }
+  ASSERT_EQ(replay_lane(nl, *plan, trace), "");
+
+  const int cycle = 9;
+  const std::size_t port = outs - 1;
+  const std::string port_text = " port '" + plan->output_name(port) + "'";
+  {
+    LaneTrace bad = trace;
+    bad.outputs[static_cast<std::size_t>(cycle) * outs + port] ^= 1;
+    const std::string diff = replay_lane(nl, *plan, bad);
+    EXPECT_EQ(diff.rfind("cycle 9 post-edge" + port_text, 0), 0u) << diff;
+  }
+  {
+    LaneTrace bad = trace;
+    bad.pre_edge[static_cast<std::size_t>(cycle) * outs + port] ^= 1;
+    const std::string diff = replay_lane(nl, *plan, bad);
+    EXPECT_EQ(diff.rfind("cycle 9 pre-edge" + port_text, 0), 0u) << diff;
+  }
+  {
+    LaneTrace bad = trace;
+    const std::size_t net = bad.nets.size() / 2;
+    bad.nets[net] ^= 1;
+    const std::string diff = replay_lane(nl, *plan, bad);
+    EXPECT_EQ(diff.rfind("net " + std::to_string(net) + " (end of run)", 0), 0u) << diff;
+  }
+  LaneTrace empty = trace;
+  empty.cycles = 0;
+  EXPECT_THROW(replay_lane(nl, *plan, empty), std::invalid_argument);
+  EXPECT_THROW(compare_compiled_vs_interpreter(nl, 0, 1), std::invalid_argument);
+  EXPECT_THROW(compare_compiled_vs_interpreter(nl, -1, 1), std::invalid_argument);
+}
+
 TEST(CompiledSim, ResblockBothFlowsMatchInterpreter) {
   FlowPair f(make_resblock_net(), 16);
   EXPECT_EQ(compare_compiled_vs_interpreter(f.composed.netlist, 32, 1003), "");

@@ -22,6 +22,7 @@
 #include "flow/service.h"
 #include "lint/lint.h"
 #include "netlist/checkpoint.h"
+#include "util/env.h"
 #include "util/json.h"
 
 namespace {
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--model" && i + 1 < argc) {
       model_name = argv[++i];
     } else if (arg == "--dsp" && i + 1 < argc) {
-      dsp_budget = std::strtol(argv[++i], nullptr, 10);
+      dsp_budget = count_arg<long>("fpgalint", arg, argv[++i]);
     } else if (arg == "--rules") {
       print_rules();
       return 0;

@@ -17,7 +17,6 @@
 //              2 = usage error or a design that failed to build/load.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -26,6 +25,7 @@
 #include "flow/service.h"
 #include "netlist/checkpoint.h"
 #include "sim/engine/engine.h"
+#include "util/env.h"
 #include "util/json.h"
 
 namespace {
@@ -78,16 +78,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--soak") {
       soak = true;
     } else if (arg == "--vectors" && i + 1 < argc) {
-      vectors = std::strtoull(argv[++i], nullptr, 10);
+      vectors = count_arg<std::uint64_t>("fpgaserve", arg, argv[++i], 1);
       vectors_set = true;
     } else if (arg == "--cycles" && i + 1 < argc) {
-      opt.cycles_per_batch = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      opt.cycles_per_batch = count_arg<int>("fpgaserve", arg, argv[++i], 1);
     } else if (arg == "--check-every" && i + 1 < argc) {
-      opt.check_every = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      opt.check_every = count_arg<std::size_t>("fpgaserve", arg, argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
+      opt.seed = count_arg<std::uint64_t>("fpgaserve", arg, argv[++i]);
     } else if (arg == "--contexts" && i + 1 < argc) {
-      opt.contexts = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      opt.contexts = count_arg<std::size_t>("fpgaserve", arg, argv[++i]);
     } else if (arg == "--json") {
       json_out = true;
     } else if (arg == "-h" || arg == "--help") {

@@ -13,7 +13,6 @@
 //              2 = usage error or a design that failed to build/load.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -26,6 +25,7 @@
 #include "flow/service.h"
 #include "netlist/checkpoint.h"
 #include "sim/compiled.h"
+#include "util/env.h"
 
 namespace {
 
@@ -44,7 +44,7 @@ void usage(std::FILE* to) {
                "                 cycle); overrides --cycles, for scripted long soaks\n"
                "  --seed S       stimulus seed (default 1)\n"
                "  --lanes N      interpreter replays of the 64-lane batch: 0 = all,\n"
-               "                 else N evenly spread lanes (default 4)\n"
+               "                 else N <= 64 evenly spread lanes (default 4)\n"
                "  -h, --help     this message\n",
                fpgasim::zoo_model_names().c_str());
 }
@@ -70,15 +70,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--mono") {
       mono = true;
     } else if (arg == "--dsp" && i + 1 < argc) {
-      dsp_budget = std::strtol(argv[++i], nullptr, 10);
+      dsp_budget = count_arg<long>("simdiff", arg, argv[++i]);
     } else if (arg == "--cycles" && i + 1 < argc) {
-      cycles = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      cycles = count_arg<int>("simdiff", arg, argv[++i], 1);
     } else if (arg == "--vectors" && i + 1 < argc) {
-      vectors = std::strtoull(argv[++i], nullptr, 10);
+      vectors = count_arg<std::uint64_t>("simdiff", arg, argv[++i], 0,
+                                          std::uint64_t{INT32_MAX} * 64);
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = count_arg<std::uint64_t>("simdiff", arg, argv[++i]);
     } else if (arg == "--lanes" && i + 1 < argc) {
-      lane_count = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      lane_count = count_arg<int>("simdiff", arg, argv[++i], 0, 64);
     } else if (arg == "-h" || arg == "--help") {
       usage(stdout);
       return 0;
@@ -94,23 +95,12 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  if (vectors > 0) {
-    // One cycle drives one 64-lane frame = 64 inference vectors.
-    const std::uint64_t c = (vectors + 63) / 64;
-    if (c > static_cast<std::uint64_t>(INT32_MAX)) {
-      std::fprintf(stderr, "simdiff: --vectors %llu is too large\n",
-                   static_cast<unsigned long long>(vectors));
-      return 2;
-    }
-    cycles = static_cast<int>(c);
-  }
+  // One cycle drives one 64-lane frame = 64 inference vectors.
+  if (vectors > 0) cycles = static_cast<int>((vectors + 63) / 64);
 
   std::vector<int> lanes;
-  if (lane_count > 0) {
-    const int n = lane_count > 64 ? 64 : lane_count;
-    for (int i = 0; i < n; ++i) {
-      lanes.push_back(n == 1 ? 0 : i * 63 / (n - 1));
-    }
+  for (int i = 0; i < lane_count; ++i) {
+    lanes.push_back(lane_count == 1 ? 0 : i * 63 / (lane_count - 1));
   }
 
   int exit_code = 0;

@@ -24,7 +24,7 @@ ComposedDesign compose_and_place(const Device& device, const NetworkRun& run) {
     chain.push_back(run.component(group));
   }
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    composer.add_instance(*chain[i], "inst" + std::to_string(i), i);
+    composer.add_instance(*chain[i], "inst" + std::to_string(i));
   }
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
     composer.connect(static_cast<int>(i), static_cast<int>(i + 1));

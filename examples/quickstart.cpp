@@ -54,7 +54,7 @@ conv c2 out=2 k=3
   // Every stage ran under the design rule checker; print the final verdict
   // of the post-routing pass (warnings are informational, errors throw).
   std::printf("post-route %s\n", report.drc.summary().c_str());
-  for (const DrcViolation& v : report.drc.violations()) {
+  for (const Finding& v : report.drc.findings()) {
     std::printf("  %s\n", v.to_string().c_str());
   }
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     std::snprintf(pblock, sizeof pblock, "(%d,%d)-(%d,%d)", inst.footprint.x0,
                   inst.footprint.y0, inst.footprint.x1, inst.footprint.y1);
     table.add_row({inst.name, pblock,
-                   std::to_string(inst.cell_end - inst.cell_offset)});
+                   std::to_string(inst.cell_end - inst.cell_begin)});
   }
   table.print();
   std::printf("stream edges stitched: %zu; Fmax pre-implemented %.1f MHz vs "

@@ -1,9 +1,12 @@
 #include "cnn/model.h"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "cnn/registry.h"
+#include "util/env.h"
 #include "util/rng.h"
 
 namespace fpgasim {
@@ -188,6 +191,16 @@ CnnModel parse_arch_def(const std::string& text) {
   auto fail = [&](const std::string& msg) {
     throw std::runtime_error("arch def line " + std::to_string(line_no) + ": " + msg);
   };
+  // The value of attribute `token` ("k=3") after its `prefix_len`-char key:
+  // a whole number within int, with no sign or suffix.
+  auto number = [&](const std::string& token, std::size_t prefix_len) {
+    const auto value = parse_count(std::string_view(token).substr(prefix_len));
+    if (!value || *value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      fail(token.substr(0, prefix_len) + " expects a whole number, got '" +
+           token.substr(prefix_len) + "'");
+    }
+    return static_cast<int>(*value);
+  };
   auto register_name = [&](const std::string& name) {
     if (model.find_layer(name) != -1) fail("duplicate layer name '" + name + "'");
   };
@@ -226,13 +239,13 @@ CnnModel parse_arch_def(const std::string& text) {
       if (token == "relu") {
         layer.fuse_relu = true;
       } else if (token.rfind("out=", 0) == 0) {
-        layer.out_c = std::stoi(token.substr(4));
+        layer.out_c = number(token, 4);
       } else if (token.rfind("k=", 0) == 0) {
-        layer.kernel = std::stoi(token.substr(2));
+        layer.kernel = number(token, 2);
       } else if (token.rfind("f=", 0) == 0) {
-        layer.kernel = std::stoi(token.substr(2));  // upsample factor
+        layer.kernel = number(token, 2);  // upsample factor
       } else if (token.rfind("s=", 0) == 0) {
-        layer.stride = std::stoi(token.substr(2));
+        layer.stride = number(token, 2);
       } else if (token.rfind("from=", 0) == 0) {
         std::istringstream names(token.substr(5));
         std::string from;

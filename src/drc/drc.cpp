@@ -1,110 +1,89 @@
 #include "drc/drc.h"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "netlist/structure.h"
+
 namespace fpgasim {
+namespace {
 
-const char* to_string(DrcSeverity severity) {
-  switch (severity) {
-    case DrcSeverity::kInfo: return "INFO";
-    case DrcSeverity::kWarning: return "WARNING";
-    case DrcSeverity::kError: return "ERROR";
-  }
-  return "?";
+/// A structural rule is one netlist/structure.h property check, shared
+/// with lint and Netlist::validate().
+template <StructuralCheck Check>
+void structural(const DrcContext& ctx, Emitter& out) {
+  out.emit(Check(*ctx.netlist));
 }
 
-std::string DrcViolation::to_string() const {
-  std::string s = std::string(fpgasim::to_string(severity)) + " [" + rule + "] " + message;
-  if (waived) s += " (waived)";
-  return s;
-}
+}  // namespace
 
-void DrcReport::add(DrcViolation violation) {
-  if (violation.waived) {
-    ++waived_;
-  } else {
-    switch (violation.severity) {
-      case DrcSeverity::kInfo: ++infos_; break;
-      case DrcSeverity::kWarning: ++warnings_; break;
-      case DrcSeverity::kError: ++errors_; break;
-    }
-  }
-  violations_.push_back(std::move(violation));
-}
-
-std::string DrcReport::summary() const {
-  std::string s = "DRC: " + std::to_string(errors_) + " error" + (errors_ == 1 ? "" : "s") +
-                  ", " + std::to_string(warnings_) + " warning" + (warnings_ == 1 ? "" : "s");
-  if (infos_ > 0) s += ", " + std::to_string(infos_) + " info";
-  if (waived_ > 0) s += ", " + std::to_string(waived_) + " waived";
-  if (suppressed_ > 0) s += ", " + std::to_string(suppressed_) + " suppressed";
-  s += " (" + std::to_string(rules_run_) + " rules)";
-  return s;
-}
-
-std::string DrcReport::to_string() const {
-  std::string s = summary();
-  for (const DrcViolation& v : violations_) {
-    s += "\n  " + v.to_string();
-  }
-  return s;
-}
-
-std::vector<const DrcViolation*> DrcReport::by_rule(const std::string& rule) const {
-  std::vector<const DrcViolation*> out;
-  for (const DrcViolation& v : violations_) {
-    if (v.rule == rule) out.push_back(&v);
-  }
-  return out;
-}
-
-const std::vector<const DrcRule*>& drc_rules() {
-  static const std::vector<const DrcRule*> rules = [] {
-    std::vector<const DrcRule*> r;
-    drc_detail::register_structural_rules(r);
-    drc_detail::register_placement_rules(r);
-    drc_detail::register_routing_rules(r);
-    drc_detail::register_checkpoint_rules(r);
-    return r;
-  }();
+const std::vector<DrcRule>& drc_rules() {
+  using namespace drc_detail;
+  using enum Severity;
+  static const std::vector<DrcRule> rules = {
+      // Netlist structure.
+      {"net-driver", "every net has exactly one consistent driver", kDrcStructural, kError,
+       structural<check_drivers>},
+      {"net-dangling", "no undriven inputs, dangling sink references or missing required pins",
+       kDrcStructural, kError, structural<check_sinks>},
+      {"net-width", "bus widths agree across net connections", kDrcStructural, kError,
+       structural<check_widths>},
+      {"comb-loop", "no combinational cycles through LUT/ADD/MAX/RELU logic", kDrcStructural,
+       kError, structural<check_comb_loops>},
+      {"net-dead", "no orphaned nets (typically left behind by alias_net)", kDrcStructural,
+       kWarning, structural<check_orphans>},
+      // Placement legality (rules_place.cpp).
+      {"place-bounds",
+       "physical state aligned with the netlist; placed cells in bounds; locked cells placed",
+       kDrcPlacement, kError, place_bounds},
+      {"place-escape", "cells of a relocated instance stay inside its pblock footprint",
+       kDrcPlacement, kError, place_escape},
+      {"place-overlap", "locked instance pblocks do not overlap", kDrcPlacement, kError,
+       place_overlap},
+      {"place-overuse", "aggregate cell footprints fit their pblock / device resources",
+       kDrcPlacement, kError, place_overuse},
+      {"place-tile-crowding", "per-tile demand is satisfiable within the legal spill radius",
+       kDrcPlacement, kWarning, place_tile_crowding},
+      // Routing legality (rules_route.cpp).
+      {"route-overuse", "per-edge channel usage stays within the wire capacity", kDrcRouting,
+       kWarning, route_overuse},
+      {"route-locked-conflict",
+       "locked routes of distinct pre-implemented instances do not oversubscribe an edge",
+       kDrcRouting, kError, route_locked_conflict},
+      {"route-escape", "locked instance-internal routes stay inside the instance pblock",
+       kDrcRouting, kError, route_escape},
+      {"route-endpoints", "route trees are well-formed and reach every placed net terminal",
+       kDrcRouting, kError, route_endpoints},
+      // Checkpoint integrity (rules_checkpoint.cpp).
+      {"cp-pins", "partition pins are planned on the pblock boundary", kDrcCheckpoint,
+       kWarning, cp_pins},
+      {"cp-meta", "checkpoint meta, pblock and physical state are mutually consistent",
+       kDrcCheckpoint, kError, cp_meta},
+  };
   return rules;
 }
 
-DrcReport run_drc(const DrcContext& ctx, unsigned stages, const DrcOptions& opt) {
+FindingsReport run_drc(const DrcContext& ctx, unsigned stages, const CheckOptions& opt) {
   if (ctx.netlist == nullptr) {
     throw std::invalid_argument("run_drc: context has no netlist");
   }
-  DrcReport report;
-  for (const DrcRule* rule : drc_rules()) {
-    if ((rule->stages() & stages) == 0) continue;
-    const bool waived = std::find(opt.waived_rules.begin(), opt.waived_rules.end(),
-                                  rule->id()) != opt.waived_rules.end();
-    DrcReport local;
-    rule->check(ctx, local);
-    ++report.rules_run_;
-    std::size_t kept = 0;
-    for (DrcViolation& v : local.violations_) {
-      if (kept == opt.max_violations_per_rule) {
-        report.suppressed_ += local.violations_.size() - kept;
-        break;
-      }
-      ++kept;
-      v.waived = waived;
-      report.add(std::move(v));
-    }
+  FindingsReport report("DRC", ctx.netlist->name());
+  Emitter out(report, opt);
+  for (const DrcRule& rule : drc_rules()) {
+    if ((rule.stages & stages) == 0) continue;
+    out.rule(rule.id, rule.severity);
+    rule.check(ctx, out);
   }
   return report;
 }
 
-DrcReport run_structural_drc(const Netlist& netlist, const DrcOptions& opt) {
+FindingsReport run_structural_drc(const Netlist& netlist, const CheckOptions& opt) {
   DrcContext ctx;
   ctx.netlist = &netlist;
   return run_drc(ctx, kDrcStructural, opt);
 }
 
-DrcReport run_checkpoint_drc(const Checkpoint& checkpoint, const Device* device,
-                             const DrcOptions& opt) {
+FindingsReport run_checkpoint_drc(const Checkpoint& checkpoint, const Device* device,
+                                  const CheckOptions& opt) {
   DrcContext ctx;
   ctx.netlist = &checkpoint.netlist;
   ctx.phys = &checkpoint.phys;
@@ -112,33 +91,10 @@ DrcReport run_checkpoint_drc(const Checkpoint& checkpoint, const Device* device,
   ctx.checkpoint = &checkpoint;
   // The whole checkpoint is one instance confined to its pblock: the
   // placement/routing containment rules then express relocation legality.
-  DrcInstance inst;
-  inst.name = checkpoint.netlist.name();
-  inst.footprint = checkpoint.pblock;
-  inst.cell_begin = 0;
-  inst.cell_end = static_cast<CellId>(checkpoint.netlist.cell_count());
-  inst.net_begin = 0;
-  inst.net_end = static_cast<NetId>(checkpoint.netlist.net_count());
-  ctx.instances.push_back(std::move(inst));
+  ctx.instances.push_back({checkpoint.netlist.name(), checkpoint.pblock, 0,
+                           static_cast<CellId>(checkpoint.netlist.cell_count()), 0,
+                           static_cast<NetId>(checkpoint.netlist.net_count())});
   return run_drc(ctx, kDrcAllStages, opt);
 }
-
-void enforce_drc(const DrcReport& report, const std::string& where) {
-  if (report.clean()) return;
-  throw std::runtime_error("DRC failed (" + where + "): " + report.to_string());
-}
-
-namespace drc_detail {
-
-int instance_of_cell(const std::vector<DrcInstance>& instances, CellId cell) {
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (cell >= instances[i].cell_begin && cell < instances[i].cell_end) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-}  // namespace drc_detail
 
 }  // namespace fpgasim

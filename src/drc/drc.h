@@ -6,10 +6,11 @@
 // capacities, pblock containment) and legally routed (channel capacities,
 // locked-route conflicts, terminal coverage).
 //
-// Rules are registered in a global registry (see drc_rules()); each rule
-// declares the flow stages it applies to and a default severity. A rule
-// can be waived by id through DrcOptions; waived findings are still
-// recorded but never count as errors.
+// The rules are one table (see drc_rules()); each rule declares the flow
+// stages it applies to and a default severity, and emits its findings
+// through the shared netlist/findings.h report. A rule can be waived by id
+// through CheckOptions; waived findings are still recorded but never
+// count as errors.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +20,11 @@
 #include "fabric/device.h"
 #include "fabric/pblock.h"
 #include "netlist/checkpoint.h"
+#include "netlist/findings.h"
 #include "netlist/netlist.h"
 #include "netlist/phys.h"
 
 namespace fpgasim {
-
-enum class DrcSeverity : std::uint8_t { kInfo = 0, kWarning = 1, kError = 2 };
-
-const char* to_string(DrcSeverity severity);
 
 /// Which flow stage(s) a rule is meaningful at (bitmask).
 enum DrcStage : unsigned {
@@ -37,19 +35,6 @@ enum DrcStage : unsigned {
   kDrcAllStages = 0xFu,
 };
 
-/// One pre-implemented component instance inside a composed design:
-/// the contiguous cell/net ranges merge() assigned to it plus its
-/// (relocated) pblock footprint. Mirrors ComposedDesign::Instance without
-/// depending on the flow layer.
-struct DrcInstance {
-  std::string name;
-  Pblock footprint;
-  CellId cell_begin = 0;
-  CellId cell_end = 0;
-  NetId net_begin = 0;
-  NetId net_end = 0;
-};
-
 /// Everything a rule may look at. Only `netlist` is mandatory; rules skip
 /// silently when the context they need is absent (e.g. placement rules
 /// without a device).
@@ -58,103 +43,52 @@ struct DrcContext {
   const PhysState* phys = nullptr;
   const Device* device = nullptr;
   const Checkpoint* checkpoint = nullptr;
-  std::vector<DrcInstance> instances;
+  std::vector<InstanceRange> instances;
   int channel_capacity = 14;  // routing overuse threshold (RouteOptions)
   int tile_spill_radius = 3;  // tiles a wide cell may legally spread over
 };
 
-struct DrcViolation {
-  std::string rule;  // rule id
-  DrcSeverity severity = DrcSeverity::kError;
-  std::string message;
-  CellId cell = kInvalidCell;  // offending cell when applicable
-  NetId net = kInvalidNet;     // offending net when applicable
-  bool waived = false;
+using DrcCheck = void (*)(const DrcContext& ctx, Emitter& out);
 
-  std::string to_string() const;
+/// A single design rule: emits its findings under its own id and severity.
+struct DrcRule {
+  const char* id;
+  const char* what;  // one-line description
+  unsigned stages;   // DrcStage bitmask
+  Severity severity;
+  DrcCheck check;
 };
 
-struct DrcOptions {
-  /// Rule ids whose findings are recorded but excluded from error/warning
-  /// counts (per-rule waivers).
-  std::vector<std::string> waived_rules;
-  /// Cap on recorded violations per rule; further findings are counted in
-  /// DrcReport::suppressed but not stored.
-  std::size_t max_violations_per_rule = 64;
-};
+/// The rule table, in emission order.
+const std::vector<DrcRule>& drc_rules();
 
-class DrcReport {
- public:
-  void add(DrcViolation violation);
-
-  bool clean() const { return errors_ == 0; }
-  std::size_t errors() const { return errors_; }
-  std::size_t warnings() const { return warnings_; }
-  std::size_t infos() const { return infos_; }
-  std::size_t waived() const { return waived_; }
-  std::size_t suppressed() const { return suppressed_; }
-  std::size_t rules_run() const { return rules_run_; }
-  const std::vector<DrcViolation>& violations() const { return violations_; }
-
-  /// One-line "DRC: 2 errors, 1 warning (16 rules)" digest.
-  std::string summary() const;
-  /// Full multi-line listing (summary + every recorded violation).
-  std::string to_string() const;
-
-  /// Violations recorded against `rule` (waived included).
-  std::vector<const DrcViolation*> by_rule(const std::string& rule) const;
-
- private:
-  friend DrcReport run_drc(const DrcContext&, unsigned, const DrcOptions&);
-  std::vector<DrcViolation> violations_;
-  std::size_t errors_ = 0;
-  std::size_t warnings_ = 0;
-  std::size_t infos_ = 0;
-  std::size_t waived_ = 0;
-  std::size_t suppressed_ = 0;
-  std::size_t rules_run_ = 0;
-};
-
-/// A single design rule. Stateless; check() appends findings to the report.
-class DrcRule {
- public:
-  virtual ~DrcRule() = default;
-  virtual const char* id() const = 0;
-  virtual const char* what() const = 0;  // one-line description
-  virtual unsigned stages() const = 0;   // DrcStage bitmask
-  virtual DrcSeverity severity() const = 0;
-  virtual void check(const DrcContext& ctx, DrcReport& report) const = 0;
-};
-
-/// The global rule registry (stable order, built once).
-const std::vector<const DrcRule*>& drc_rules();
-
-/// Runs every registered rule whose stages() intersects `stages`.
-DrcReport run_drc(const DrcContext& ctx, unsigned stages = kDrcAllStages,
-                  const DrcOptions& opt = {});
+/// Runs every rule whose stages intersect `stages`.
+FindingsReport run_drc(const DrcContext& ctx, unsigned stages = kDrcAllStages,
+                       const CheckOptions& opt = {});
 
 /// Structural subset over a bare netlist (compose gate, checkpoint load).
-DrcReport run_structural_drc(const Netlist& netlist, const DrcOptions& opt = {});
+FindingsReport run_structural_drc(const Netlist& netlist, const CheckOptions& opt = {});
 
 /// Full check of one checkpoint: structural + placement/routing bounded by
 /// its pblock + checkpoint-integrity rules. `device` may be null (rules
 /// needing it are skipped, e.g. after a bare load_checkpoint).
-DrcReport run_checkpoint_drc(const Checkpoint& checkpoint, const Device* device = nullptr,
-                             const DrcOptions& opt = {});
+FindingsReport run_checkpoint_drc(const Checkpoint& checkpoint, const Device* device = nullptr,
+                                  const CheckOptions& opt = {});
 
-/// Throws std::runtime_error with the report listing when !report.clean().
-void enforce_drc(const DrcReport& report, const std::string& where);
-
-// -- shared helpers used by the rule implementations ------------------------
+// -- the rule checks behind drc_rules(), one per rule ------------------------
 namespace drc_detail {
 
-/// Instance index owning `cell`, or -1 (binary search over the ranges).
-int instance_of_cell(const std::vector<DrcInstance>& instances, CellId cell);
-
-void register_structural_rules(std::vector<const DrcRule*>& rules);
-void register_placement_rules(std::vector<const DrcRule*>& rules);
-void register_routing_rules(std::vector<const DrcRule*>& rules);
-void register_checkpoint_rules(std::vector<const DrcRule*>& rules);
+void place_bounds(const DrcContext& ctx, Emitter& out);
+void place_escape(const DrcContext& ctx, Emitter& out);
+void place_overlap(const DrcContext& ctx, Emitter& out);
+void place_overuse(const DrcContext& ctx, Emitter& out);
+void place_tile_crowding(const DrcContext& ctx, Emitter& out);
+void route_overuse(const DrcContext& ctx, Emitter& out);
+void route_locked_conflict(const DrcContext& ctx, Emitter& out);
+void route_escape(const DrcContext& ctx, Emitter& out);
+void route_endpoints(const DrcContext& ctx, Emitter& out);
+void cp_pins(const DrcContext& ctx, Emitter& out);
+void cp_meta(const DrcContext& ctx, Emitter& out);
 
 }  // namespace drc_detail
 

@@ -1,5 +1,6 @@
 #include "flow/compose.h"
 
+#include "drc/drc.h"
 #include "synth/layers.h"
 
 #include <stdexcept>
@@ -29,14 +30,14 @@ void alias_net(Netlist& netlist, PhysState& phys, NetId driverless, NetId driven
 }
 
 void ComposedDesign::translate_instance(std::size_t index, int dx, int dy) {
-  const Instance& inst = instances[index];
-  for (CellId c = inst.cell_offset; c < inst.cell_end; ++c) {
+  const InstanceRange& inst = instances[index];
+  for (CellId c = inst.cell_begin; c < inst.cell_end; ++c) {
     TileCoord& loc = phys.cell_loc[c];
     if (loc == kUnplaced) continue;
     loc.x += dx;
     loc.y += dy;
   }
-  for (NetId n = inst.net_offset; n < inst.net_end; ++n) {
+  for (NetId n = inst.net_begin; n < inst.net_end; ++n) {
     for (auto& [a, b] : phys.routes[n].edges) {
       a.x += dx;
       a.y += dy;
@@ -50,38 +51,20 @@ void ComposedDesign::translate_instance(std::size_t index, int dx, int dy) {
 std::vector<MacroItem> ComposedDesign::macro_items() const {
   std::vector<MacroItem> items;
   items.reserve(instances.size());
-  for (const Instance& inst : instances) {
+  for (const InstanceRange& inst : instances) {
     items.push_back(MacroItem{inst.name, inst.footprint});
   }
   return items;
 }
 
-std::vector<DrcInstance> ComposedDesign::drc_instances() const {
-  std::vector<DrcInstance> out;
-  out.reserve(instances.size());
-  for (const Instance& inst : instances) {
-    out.push_back(DrcInstance{inst.name, inst.footprint, inst.cell_offset, inst.cell_end,
-                              inst.net_offset, inst.net_end});
-  }
-  return out;
-}
-
 Composer::Composer(std::string top_name) { design_.netlist.set_name(std::move(top_name)); }
 
-int Composer::add_instance(const Checkpoint& checkpoint, const std::string& instance_name,
-                           std::size_t source_index) {
+int Composer::add_instance(const Checkpoint& checkpoint, const std::string& instance_name) {
   const auto [cell_offset, net_offset] = design_.netlist.merge(checkpoint.netlist);
   design_.phys.append(checkpoint.phys);
-
-  ComposedDesign::Instance inst;
-  inst.name = instance_name;
-  inst.source = source_index;
-  inst.cell_offset = cell_offset;
-  inst.cell_end = static_cast<CellId>(design_.netlist.cell_count());
-  inst.net_offset = net_offset;
-  inst.net_end = static_cast<NetId>(design_.netlist.net_count());
-  inst.footprint = checkpoint.pblock;
-  design_.instances.push_back(inst);
+  design_.instances.push_back({instance_name, checkpoint.pblock, cell_offset,
+                               static_cast<CellId>(design_.netlist.cell_count()), net_offset,
+                               static_cast<NetId>(design_.netlist.net_count())});
 
   std::vector<Port> ports = checkpoint.netlist.ports();
   for (Port& port : ports) port.net += net_offset;
@@ -176,9 +159,7 @@ ComposedDesign Composer::finish() && {
   // it to placement. Unexposed stream inputs are legally driverless until
   // expose_input()/expose_output(), so net-dangling is waived here; the
   // flow-level gates re-run it unwaived after the boundary is exposed.
-  DrcOptions opt;
-  opt.waived_rules = {"net-dangling"};
-  enforce_drc(run_structural_drc(design_.netlist, opt), "compose");
+  enforce(run_structural_drc(design_.netlist, {.waived_rules = {"net-dangling"}}), "compose");
   return std::move(design_);
 }
 

@@ -6,9 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "drc/drc.h"
-#include "fabric/pblock.h"
 #include "netlist/checkpoint.h"
+#include "netlist/findings.h"
 #include "netlist/netlist.h"
 #include "netlist/phys.h"
 #include "place/macro_placer.h"
@@ -39,16 +38,9 @@ struct ComposedDesign {
   Netlist netlist;
   PhysState phys;
 
-  struct Instance {
-    std::string name;
-    std::size_t source = 0;     // index of the checkpoint it was filled from
-    CellId cell_offset = 0;
-    CellId cell_end = 0;
-    NetId net_offset = 0;
-    NetId net_end = 0;
-    Pblock footprint;           // as implemented (pre-relocation)
-  };
-  std::vector<Instance> instances;
+  /// Instance ranges; footprints are current (relocated by
+  /// translate_instance).
+  std::vector<InstanceRange> instances;
 
   /// Component-level DFG edges for the relocation placer.
   std::vector<MacroNet> macro_nets;
@@ -58,9 +50,6 @@ struct ComposedDesign {
 
   /// MacroItem view of the instances.
   std::vector<MacroItem> macro_items() const;
-
-  /// DrcInstance view of the instances (current footprints), for run_drc.
-  std::vector<DrcInstance> drc_instances() const;
 };
 
 /// Builds compositions. Checkpoints passed to add_instance must stay alive
@@ -70,8 +59,7 @@ class Composer {
   explicit Composer(std::string top_name);
 
   /// Adds a black-box instance filled with `checkpoint`; returns its index.
-  int add_instance(const Checkpoint& checkpoint, const std::string& instance_name,
-                   std::size_t source_index = 0);
+  int add_instance(const Checkpoint& checkpoint, const std::string& instance_name);
 
   /// Stream-connects output stream `from_port` of instance `from` to input
   /// stream `to_port` of instance `to`: out_data/out_valid ->

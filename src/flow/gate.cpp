@@ -1,0 +1,43 @@
+#include "flow/gate.h"
+
+#include <string>
+
+#include "drc/drc.h"
+#include "lint/lint.h"
+#include "sim/compiled.h"
+#include "util/timer.h"
+
+namespace fpgasim {
+
+void run_gate(const GateSubject& subject, unsigned stages, const char* after,
+              FindingsReport& drc, GateReport& report, const GateOptions* last) {
+  const std::string where = std::string(subject.flow) + " after " + after;
+  Stopwatch watch;
+  DrcContext ctx;
+  ctx.netlist = &subject.netlist;
+  ctx.phys = &subject.phys;
+  ctx.device = &subject.device;
+  ctx.instances = subject.instances;
+  ctx.channel_capacity = subject.channel_capacity;
+  drc = run_drc(ctx, stages);
+  report.drc_seconds += watch.seconds();
+  enforce(drc, where);
+  if (last == nullptr) return;
+
+  if (last->lint) {
+    // Stitch-boundary aware through the instance ranges.
+    watch.restart();
+    report.lint = lint::run(subject.netlist, {}, subject.instances);
+    report.lint_seconds = watch.seconds();
+    enforce(report.lint, where);
+  }
+  if (last->compiled_verify) {
+    watch.restart();
+    enforce_compiled_match(subject.netlist, last->compiled_verify_cycles, subject.seed,
+                           subject.flow);
+    report.compiled_verify_seconds = watch.seconds();
+    report.compiled_verify_ok = true;
+  }
+}
+
+}  // namespace fpgasim

@@ -4,8 +4,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "drc/drc.h"
 #include "place/place.h"
-#include "sim/compiled.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -24,19 +24,9 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   Stopwatch total;
   CpuStopwatch total_cpu;
 
-  // DRC gate: verifies the design between stages and throws on errors.
-  const auto drc_gate = [&](unsigned stages, DrcReport& into, const char* where) {
-    if (!opt.drc) return;
-    Stopwatch watch;
-    DrcContext ctx;
-    ctx.netlist = &netlist;
-    ctx.phys = &phys;
-    ctx.device = &device;
-    ctx.channel_capacity = opt.route.channel_capacity;
-    into = run_drc(ctx, stages, opt.drc_options);
-    report.drc_seconds += watch.seconds();
-    enforce_drc(into, where);
-  };
+  const std::vector<InstanceRange> flat;  // one flat design, no instances
+  const GateSubject gate{"monolithic", device, netlist, phys, flat,
+                         opt.route.channel_capacity, opt.seed};
 
   // Clustering + placement over the whole device.
   Stopwatch stage;
@@ -63,7 +53,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   const SaResult placement = place_sa(device, items, nets, sa);
   assign_cells_to_tiles(device, netlist, clustering, placement, sa, phys);
   report.place_seconds = stage.seconds();
-  drc_gate(kDrcStructural | kDrcPlacement, report.drc_place, "monolithic after placement");
+  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place, report);
 
   // Full routing.
   stage.restart();
@@ -185,26 +175,8 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
     report.phys_opt_seconds = stage.seconds();
   }
 
-  drc_gate(kDrcStructural | kDrcPlacement | kDrcRouting, report.drc,
-           "monolithic after routing");
-
-  if (opt.lint) {
-    stage.restart();
-    report.lint = lint::run(netlist, opt.lint_options);
-    report.lint_seconds = stage.seconds();
-    LOG_DEBUG("monolithic lint: %s (%.3fs wall, %.3fs cpu)", report.lint.summary().c_str(),
-              report.lint.wall_seconds, report.lint.cpu_seconds);
-    lint::enforce(report.lint, "monolithic after routing");
-  }
-
-  if (opt.compiled_verify) {
-    // Compiled-verify gate: A/B the final (post-phys-opt) netlist through
-    // the compiled bit-parallel simulator against the interpreter oracle.
-    stage.restart();
-    enforce_compiled_match(netlist, opt.compiled_verify_cycles, opt.seed, "monolithic");
-    report.compiled_verify_seconds = stage.seconds();
-    report.compiled_verify_ok = true;
-  }
+  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc, report,
+           &opt);
 
   report.stats = netlist.stats();
   report.total_seconds = total.seconds();

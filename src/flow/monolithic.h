@@ -7,9 +7,8 @@
 
 #include <cstdint>
 
-#include "drc/drc.h"
 #include "fabric/device.h"
-#include "lint/lint.h"
+#include "flow/gate.h"
 #include "netlist/netlist.h"
 #include "netlist/phys.h"
 #include "route/router.h"
@@ -17,26 +16,19 @@
 
 namespace fpgasim {
 
-struct MonoOptions {
+/// The DRC gates after placement and routing always run; the GateOptions
+/// add the opt-in gates over the final (post-phys-opt) netlist.
+struct MonoOptions : GateOptions {
   std::uint64_t seed = 1;
   int cluster_size = 24;
   double moves_per_item = 160.0;
   bool phys_opt = true;
   int replication_fanout = 48;  // duplicate drivers above this fanout
   RouteOptions route;
-  bool drc = true;         // run the DRC gate after placement and routing
-  DrcOptions drc_options;  // waivers forwarded to every gate
-  /// Opt-in fpgalint gate over the final (post-phys-opt) netlist.
-  bool lint = false;
-  lint::LintOptions lint_options;
-  /// Opt-in compiled-verify gate: A/B the final netlist through the
-  /// compiled bit-parallel simulator against the interpreter oracle.
-  /// Throws on any bit divergence.
-  bool compiled_verify = false;
-  int compiled_verify_cycles = 24;
 };
 
-struct MonoReport {
+/// GateReport carries drc_seconds and the opt-in gates' results.
+struct MonoReport : GateReport {
   double cluster_seconds = 0.0;
   double place_seconds = 0.0;
   double route_seconds = 0.0;
@@ -51,18 +43,9 @@ struct MonoReport {
   std::size_t inserted_ffs = 0;
   std::size_t replicated_drivers = 0;
 
-  // DRC gate results (all empty when MonoOptions::drc is false).
-  double drc_seconds = 0.0;
-  DrcReport drc_place;  // structural + placement, after SA placement
-  DrcReport drc;        // full check, after routing + phys_opt
-
-  // fpgalint gate result (empty when MonoOptions::lint is false).
-  double lint_seconds = 0.0;
-  lint::LintReport lint;
-
-  // Compiled-verify gate (false/0 when MonoOptions::compiled_verify off).
-  double compiled_verify_seconds = 0.0;
-  bool compiled_verify_ok = false;
+  // DRC gate results.
+  FindingsReport drc_place{"DRC"};  // structural + placement, after SA placement
+  FindingsReport drc{"DRC"};        // full check, after routing + phys_opt
 };
 
 /// Runs the baseline flow in place: `netlist` gains phys-opt cells and

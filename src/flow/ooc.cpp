@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "lint/lint.h"
 #include "place/place.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -156,8 +157,8 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
   best.checkpoint.meta.device = device.name();
   if (opt.lint) {
     // Static-analysis gate before the checkpoint can enter the database.
-    best.lint = lint::run(best.checkpoint.netlist, opt.lint_options);
-    lint::enforce(best.lint, "ooc '" + best.checkpoint.netlist.name() + "'");
+    best.lint = lint::run(best.checkpoint.netlist);
+    enforce(best.lint, "ooc '" + best.checkpoint.netlist.name() + "'");
   }
   LOG_DEBUG("ooc '%s': %s in %.2fs (strategy %d, %s)",
             best.checkpoint.netlist.name().c_str(), best.timing.summary().c_str(),

@@ -8,8 +8,8 @@
 #include <cstdint>
 
 #include "fabric/device.h"
-#include "lint/lint.h"
 #include "netlist/checkpoint.h"
+#include "netlist/findings.h"
 #include "route/router.h"
 #include "timing/sta.h"
 
@@ -29,7 +29,6 @@ struct OocOptions {
   /// replicates into every network built from it). Throws on error
   /// findings; the report rides along in OocResult::lint.
   bool lint = false;
-  lint::LintOptions lint_options;
 };
 
 struct OocResult {
@@ -39,7 +38,7 @@ struct OocResult {
   double seconds = 0.0;      // function-optimization wall time
   double cpu_seconds = 0.0;  // process CPU time over the same span
   int strategy = 0;          // winning exploration strategy index
-  lint::LintReport lint;     // empty unless OocOptions::lint
+  FindingsReport lint{"lint"};  // empty unless OocOptions::lint
 };
 
 /// Implements `netlist` OOC on `device`. Throws std::runtime_error when no

@@ -3,8 +3,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "drc/drc.h"
 #include "flow/build.h"
-#include "sim/compiled.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -19,20 +19,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   Stopwatch total;
   CpuStopwatch total_cpu;
 
-  // DRC gate: verifies the design between stages and throws on errors.
-  const auto drc_gate = [&](unsigned stages, DrcReport& into, const char* where) {
-    if (!opt.drc) return;
-    Stopwatch watch;
-    DrcContext ctx;
-    ctx.netlist = &out.netlist;
-    ctx.phys = &out.phys;
-    ctx.device = &device;
-    ctx.instances = out.drc_instances();
-    ctx.channel_capacity = opt.route.channel_capacity;
-    into = run_drc(ctx, stages, opt.drc_options);
-    report.drc_seconds += watch.seconds();
-    enforce_drc(into, where);
-  };
+  const GateSubject gate{"preimpl", device, out.netlist, out.phys, out.instances,
+                         opt.route.channel_capacity, opt.seed};
 
   // Architecture composition: fill black boxes, insert the stream nets.
   Stopwatch stage;
@@ -40,9 +28,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
     const Checkpoint* node = graph.nodes[i];
     composer.add_instance(*node,
-                          i < graph.names.size() ? graph.names[i]
-                                                 : "inst" + std::to_string(i),
-                          i);
+                          i < graph.names.size() ? graph.names[i] : "inst" + std::to_string(i));
     report.function_opt_seconds += node->meta.implement_seconds;
     if (node->meta.fmax_mhz > 0.0 &&
         (report.slowest_component_mhz == 0.0 ||
@@ -58,7 +44,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   composer.expose_output(output_node);
   out = std::move(composer).finish();
   report.stitch_seconds = stage.seconds();
-  drc_gate(kDrcStructural, report.drc_compose, "preimpl after compose");
+  run_gate(gate, kDrcStructural, "compose", report.drc_compose, report);
 
   // Component placement: relocation of locked pblocks (Algorithm 1).
   stage.restart();
@@ -74,7 +60,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   }
   report.place_seconds = stage.seconds();
   LOG_DEBUG("preimpl place: %s", report.macro.stats.summary().c_str());
-  drc_gate(kDrcStructural | kDrcPlacement, report.drc_place, "preimpl after placement");
+  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place, report);
 
   // Inter-component routing: only the stitched nets are open; everything
   // inside the components is locked and merely charges wire usage.
@@ -88,34 +74,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   report.route_seconds = stage.seconds();
   LOG_DEBUG("preimpl route: %zu nets, %d iterations [%s]", report.route.nets_routed,
             report.route.iterations, report.route.iteration_summary().c_str());
-  drc_gate(kDrcStructural | kDrcPlacement | kDrcRouting, report.drc, "preimpl after routing");
-
-  if (opt.lint) {
-    // fpgalint gate: dataflow analysis over the final composed netlist,
-    // stitch-boundary aware through the instance ranges.
-    stage.restart();
-    lint::LintOptions lint_opt = opt.lint_options;
-    lint_opt.instances.clear();
-    for (const ComposedDesign::Instance& inst : out.instances) {
-      lint_opt.instances.push_back(
-          {inst.name, inst.cell_offset, inst.cell_end, inst.net_offset, inst.net_end});
-    }
-    report.lint = lint::run(out.netlist, lint_opt);
-    report.lint_seconds = stage.seconds();
-    LOG_DEBUG("preimpl lint: %s (%.3fs wall, %.3fs cpu)", report.lint.summary().c_str(),
-              report.lint.wall_seconds, report.lint.cpu_seconds);
-    lint::enforce(report.lint, "preimpl after routing");
-  }
-
-  if (opt.compiled_verify) {
-    // Compiled-verify gate: A/B the final composed netlist through the
-    // levelized bit-parallel simulator against the interpreter oracle on
-    // a sample of the 64-wide batch. Any bit divergence aborts the flow.
-    stage.restart();
-    enforce_compiled_match(out.netlist, opt.compiled_verify_cycles, opt.seed, "preimpl");
-    report.compiled_verify_seconds = stage.seconds();
-    report.compiled_verify_ok = true;
-  }
+  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc, report,
+           &opt);
 
   stage.restart();
   report.timing = run_sta(out.netlist, out.phys, device);

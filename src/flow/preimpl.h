@@ -13,33 +13,23 @@
 #include "cnn/model.h"
 #include "fabric/device.h"
 #include "flow/compose.h"
-#include "lint/lint.h"
+#include "flow/gate.h"
 #include "place/macro_placer.h"
 #include "route/router.h"
 #include "timing/sta.h"
 
 namespace fpgasim {
 
-struct PreImplOptions {
+/// The DRC gates after compose, placement and routing always run; the
+/// GateOptions add the opt-in gates after routing.
+struct PreImplOptions : GateOptions {
   std::uint64_t seed = 1;
   MacroPlaceOptions macro;
   RouteOptions route;
-  bool drc = true;         // run the DRC gate after compose/place/route
-  DrcOptions drc_options;  // waivers forwarded to every gate
-  /// Opt-in fpgalint gate: dataflow static analysis (comb loops, dead
-  /// logic, const/X propagation, stitch-boundary widths) over the final
-  /// composed netlist. Throws on error findings.
-  bool lint = false;
-  lint::LintOptions lint_options;  // waivers; instances filled by the flow
-  /// Opt-in compiled-verify gate: A/B the final composed netlist through
-  /// the compiled bit-parallel simulator against the interpreter oracle
-  /// (sampled lanes of a 64-wide batch, seeded random stimulus). Throws
-  /// on any bit divergence.
-  bool compiled_verify = false;
-  int compiled_verify_cycles = 24;
 };
 
-struct PreImplReport {
+/// GateReport carries drc_seconds and the opt-in gates' results.
+struct PreImplReport : GateReport {
   // Architecture-optimization stage times (online).
   double stitch_seconds = 0.0;  // extraction + matching + composition
   double place_seconds = 0.0;   // component relocation placement
@@ -56,22 +46,10 @@ struct PreImplReport {
   RouteResult route;
   MacroPlaceResult macro;
 
-  // DRC gate results (all empty when PreImplOptions::drc is false).
-  double drc_seconds = 0.0;
-  DrcReport drc_compose;  // structural subset, after stitching
-  DrcReport drc_place;    // + placement legality, after relocation
-  DrcReport drc;          // full check, after inter-component routing
-
-  // fpgalint gate result over the final composed netlist (empty when
-  // PreImplOptions::lint is false); lint_seconds also counts inside
-  // total_seconds like the DRC gate.
-  double lint_seconds = 0.0;
-  lint::LintReport lint;
-
-  // Compiled-verify gate (false/0 when PreImplOptions::compiled_verify is
-  // off; the gate throws on divergence, so a finished flow implies ok).
-  double compiled_verify_seconds = 0.0;
-  bool compiled_verify_ok = false;
+  // DRC gate results.
+  FindingsReport drc_compose{"DRC"};  // structural subset, after stitching
+  FindingsReport drc_place{"DRC"};    // + placement legality, after relocation
+  FindingsReport drc{"DRC"};          // full check, after inter-component routing
 
   double slowest_component_mhz = 0.0;
   std::string slowest_component;

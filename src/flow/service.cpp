@@ -70,8 +70,8 @@ CompileService::SessionResult CompileService::compile(
           OocResult result = implement_ooc(device_, std::move(netlist), local);
           // A freshly built component must pass the full checkpoint DRC
           // before it becomes shared store content.
-          enforce_drc(run_checkpoint_drc(result.checkpoint, &device_),
-                      "compile service build '" + request.key + "'");
+          enforce(run_checkpoint_drc(result.checkpoint, &device_),
+                  "compile service build '" + request.key + "'");
           slot.checkpoint = slot.claim->fulfil(std::move(result.checkpoint));
         } catch (...) {
           build_errors[c] = std::current_exception();

@@ -232,9 +232,9 @@ CheckpointStore::Resolution CheckpointStore::resolve(const std::string& key,
     // A store entry only becomes usable content if it passes the
     // checkpoint DRC (device-dependent rules run at use time) and, opt-in,
     // fpgalint.
-    enforce_drc(run_checkpoint_drc(cp), "store load '" + key + "' (" + path + ")");
+    enforce(run_checkpoint_drc(cp), "store load '" + key + "' (" + path + ")");
     if (lint_) {
-      lint::enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");
+      enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");
     }
     disk_loads_.fetch_add(1, std::memory_order_relaxed);
     out.checkpoint = cache_insert(hash, std::make_shared<const Checkpoint>(std::move(cp)));

@@ -17,29 +17,13 @@
 namespace fpgasim {
 namespace lint {
 namespace detail {
-namespace {
-
-/// Instance index owning `cell`, or -1. Instances come from merge() and are
-/// contiguous, so a linear scan over a handful of components is fine.
-int instance_of(const std::vector<Instance>& instances, CellId cell) {
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (cell >= instances[i].cell_begin && cell < instances[i].cell_end) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-}  // namespace
-
 // -- lint-comb-loop ---------------------------------------------------------
 //
 // Every non-trivial SCC (size > 1, or a self-loop) is one finding whose
 // message spells the cycle as a named cell path. Deterministic: roots are
 // visited in ascending cell id, successor order follows net sink order.
-void analyze_loops(const Netlist& nl, const LintOptions& opt, Emitter& out) {
-  (void)opt;
-  out.rule("lint-comb-loop");
+void analyze_loops(const Netlist& nl, Emitter& out) {
+  begin_rule(out, "lint-comb-loop");
   out.emit(check_comb_loops(nl));
 }
 
@@ -47,11 +31,10 @@ void analyze_loops(const Netlist& nl, const LintOptions& opt, Emitter& out) {
 //
 // Anything output_liveness() leaves unmarked is a dead cone the composed
 // design can never observe.
-void analyze_dead_logic(const Netlist& nl, const LintOptions& opt, Emitter& out) {
-  (void)opt;
+void analyze_dead_logic(const Netlist& nl, Emitter& out) {
   const Liveness live = output_liveness(nl);
 
-  out.rule("lint-dead-cell");
+  begin_rule(out, "lint-dead-cell");
   for (CellId c = 0; c < nl.cell_count(); ++c) {
     if (!live.cells[c]) {
       out.emit(cell_ref(nl, c) + " is unreachable backward from every primary output",
@@ -61,7 +44,7 @@ void analyze_dead_logic(const Netlist& nl, const LintOptions& opt, Emitter& out)
 
   // Input-port nets with no live reader are reported as unread, not dead.
   const std::vector<bool> port_bound = port_nets(nl);
-  out.rule("lint-unread-net");
+  begin_rule(out, "lint-unread-net");
   for (NetId n = 0; n < nl.net_count(); ++n) {
     const Net& net = nl.net(n);
     // A driven net nobody reads: no sinks and no output port exposing it.
@@ -75,18 +58,19 @@ void analyze_dead_logic(const Netlist& nl, const LintOptions& opt, Emitter& out)
 }
 
 // -- lint-multi-driver / lint-floating-input / lint-width-mismatch ---------
-void analyze_connectivity(const Netlist& nl, const LintOptions& opt, Emitter& out) {
+void analyze_connectivity(const Netlist& nl, const std::vector<InstanceRange>& instances,
+                          Emitter& out) {
   using enum StructuralFault;
-  out.rule("lint-multi-driver");
+  begin_rule(out, "lint-multi-driver");
   out.emit(select_faults(check_drivers(nl), {kMultiDriver, kInputPortDriven}));
-  out.rule("lint-floating-input");
+  begin_rule(out, "lint-floating-input");
   out.emit(select_faults(check_sinks(nl), {kUndrivenSinks, kInputRange, kRequiredPin}));
-  out.rule("lint-width-mismatch");
+  begin_rule(out, "lint-width-mismatch");
   out.emit(check_widths(nl));
   // At a stitch boundary between two composed components even a
   // legal-inside-a-component narrower operand is reported: the stream
   // buses of matched components must agree exactly.
-  if (opt.instances.empty()) return;
+  if (instances.empty()) return;
   for (CellId c = 0; c < nl.cell_count(); ++c) {
     const Cell& cell = nl.cell(c);
     for (const std::uint16_t pin : data_pins(cell)) {
@@ -94,11 +78,11 @@ void analyze_connectivity(const Netlist& nl, const LintOptions& opt, Emitter& ou
       const NetId in = cell.inputs[pin];
       const Net& net = nl.net(in);
       if (net.width >= cell.width || net.driver >= nl.cell_count()) continue;
-      const int from = instance_of(opt.instances, net.driver);
-      const int to = instance_of(opt.instances, c);
+      const int from = instance_of_cell(instances, net.driver);
+      const int to = instance_of_cell(instances, c);
       if (from >= 0 && to >= 0 && from != to) {
-        out.emit("stitch boundary '" + opt.instances[static_cast<std::size_t>(from)].name +
-                     "' -> '" + opt.instances[static_cast<std::size_t>(to)].name + "': " +
+        out.emit("stitch boundary '" + instances[static_cast<std::size_t>(from)].name +
+                     "' -> '" + instances[static_cast<std::size_t>(to)].name + "': " +
                      net_ref(nl, in) + " is " + std::to_string(net.width) + " bits but " +
                      cell_ref(nl, c) + " data pin " + std::to_string(pin) + " expects " +
                      std::to_string(cell.width),

@@ -298,8 +298,7 @@ std::string origin_ref(const Netlist& nl, const AbsVal& v) {
 
 }  // namespace
 
-void analyze_values(const Netlist& nl, const LintOptions& opt, Emitter& out) {
-  (void)opt;
+void analyze_values(const Netlist& nl, Emitter& out) {
   std::vector<AbsVal> values(nl.net_count());
 
   // Seeds: input ports are externally driven; driverless nets with readers
@@ -369,7 +368,7 @@ void analyze_values(const Netlist& nl, const LintOptions& opt, Emitter& out) {
     return false;
   };
 
-  out.rule("lint-stuck-net");
+  begin_rule(out, "lint-stuck-net");
   for (NetId n = 0; n < nl.net_count(); ++n) {
     const Net& net = nl.net(n);
     if (values[n].kind != Kind::kConst) continue;
@@ -383,7 +382,7 @@ void analyze_values(const Netlist& nl, const LintOptions& opt, Emitter& out) {
              net.driver, n);
   }
 
-  out.rule("lint-const-lut");
+  begin_rule(out, "lint-const-lut");
   for (NetId n = 0; n < nl.net_count(); ++n) {
     const Net& net = nl.net(n);
     if (values[n].kind != Kind::kConst) continue;
@@ -398,7 +397,7 @@ void analyze_values(const Netlist& nl, const LintOptions& opt, Emitter& out) {
              net.driver, n);
   }
 
-  out.rule("lint-x-escape");
+  begin_rule(out, "lint-x-escape");
   for (const Port& port : nl.ports()) {
     if (port.dir != PortDir::kOutput || port.net >= nl.net_count()) continue;
     const AbsVal& v = values[port.net];

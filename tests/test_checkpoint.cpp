@@ -193,7 +193,7 @@ TEST(Checkpoint, SingleByteCorruptionNeverYieldsInvalidNetlist) {
       // Whatever netlist survives loading, the analyzer must cope: lint is
       // a gate on load_dir, so a crash here is a denial of service on the
       // whole component database.
-      const lint::LintReport report = lint::run(loaded.netlist);
+      const FindingsReport report = lint::run(loaded.netlist);
       EXPECT_GE(report.rules_run(), 9u) << "flip at byte " << pos;
     } catch (const std::runtime_error&) {
       // Rejection is the expected outcome for most positions.

@@ -237,6 +237,29 @@ TEST(ArchDef, ReportsLineNumbersOnErrors) {
   EXPECT_THROW(parse_arch_def("network x\ninput 1 4 4\nwarp w\n"), std::runtime_error);
 }
 
+TEST(ArchDef, RejectsMalformedNumbersWithLineNumbers) {
+  // Every numeric attribute is a whole number within int: no letters, no
+  // suffix, no sign and no overflow. Each failure is a runtime_error
+  // naming line 3, never a bare stoi exception or a half-read value.
+  const char* lines[] = {
+      "conv c1 out=abc k=3",         "conv c1 out=99999999999 k=3", "conv c1 out=4x k=3",
+      "conv c1 out=4 k=3q",          "upsample u1 f=-2",            "conv c1 out=4 k=3 s=",
+  };
+  for (const char* line : lines) {
+    try {
+      parse_arch_def(std::string("network x\ninput 1 8 8\n") + line + "\n");
+      ADD_FAILURE() << "expected a parse error for '" << line << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("arch def line 3: "), std::string::npos)
+          << line << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("expects a whole number"), std::string::npos)
+          << line << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << line << "' escaped as a non-runtime_error: " << e.what();
+    }
+  }
+}
+
 TEST(Grouping, FusesReluIntoPredecessor) {
   const std::string text = R"(network g
 input 1 8 8

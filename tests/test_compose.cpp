@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "drc/drc.h"
 #include "flow/build.h"
 #include "flow/compose.h"
 #include "route/router.h"
@@ -105,9 +106,9 @@ TEST(AliasNet, MergesFanOutOntoOneDrivenNet) {
   ctx.phys = &phys;
   ctx.device = &device;
   ctx.channel_capacity = ropt.channel_capacity;
-  DrcOptions dopt;
+  CheckOptions dopt;
   dopt.waived_rules = {"net-dangling"};  // top-level stream ports stay open
-  const DrcReport report = run_drc(ctx, kDrcStructural | kDrcPlacement | kDrcRouting, dopt);
+  const FindingsReport report = run_drc(ctx, kDrcStructural | kDrcPlacement | kDrcRouting, dopt);
   EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
@@ -209,9 +210,9 @@ TEST(Composer, TracksInstanceRangesAndMacroNets) {
   const ComposedDesign design = std::move(composer).finish();
 
   ASSERT_EQ(design.instances.size(), 2u);
-  EXPECT_EQ(design.instances[0].cell_offset, 0u);
+  EXPECT_EQ(design.instances[0].cell_begin, 0u);
   EXPECT_EQ(design.instances[0].cell_end, a.netlist.cell_count());
-  EXPECT_EQ(design.instances[1].cell_offset, a.netlist.cell_count());
+  EXPECT_EQ(design.instances[1].cell_begin, a.netlist.cell_count());
   EXPECT_EQ(design.netlist.cell_count(), a.netlist.cell_count() + b.netlist.cell_count());
   ASSERT_EQ(design.macro_nets.size(), 1u);
   EXPECT_EQ(design.macro_nets[0].items, (std::vector<std::int32_t>{0, 1}));
@@ -229,10 +230,10 @@ TEST(Composer, TranslateInstanceMovesOnlyThatInstance) {
   ComposedDesign design = std::move(composer).finish();
 
   const TileCoord before_a = design.phys.cell_loc[0];
-  const TileCoord before_b = design.phys.cell_loc[design.instances[1].cell_offset];
+  const TileCoord before_b = design.phys.cell_loc[design.instances[1].cell_begin];
   design.translate_instance(1, 10, 6);
   EXPECT_EQ(design.phys.cell_loc[0], before_a);  // instance 0 untouched
-  const TileCoord after_b = design.phys.cell_loc[design.instances[1].cell_offset];
+  const TileCoord after_b = design.phys.cell_loc[design.instances[1].cell_begin];
   EXPECT_EQ(after_b.x, before_b.x + 10);
   EXPECT_EQ(after_b.y, before_b.y + 6);
   EXPECT_EQ(design.instances[1].footprint.x0, 10);
@@ -275,16 +276,15 @@ TEST(Composer, FinishedDesignPassesStructuralDrc) {
   composer.expose_output(ib);
   const ComposedDesign design = std::move(composer).finish();
 
-  const DrcReport report = run_structural_drc(design.netlist);
+  const FindingsReport report = run_structural_drc(design.netlist);
   EXPECT_TRUE(report.clean()) << report.to_string();
 
-  const std::vector<DrcInstance> instances = design.drc_instances();
-  ASSERT_EQ(instances.size(), 2u);
-  EXPECT_EQ(instances[0].name, "a0");
-  EXPECT_EQ(instances[0].cell_begin, design.instances[0].cell_offset);
-  EXPECT_EQ(instances[0].cell_end, design.instances[0].cell_end);
-  EXPECT_EQ(instances[1].net_begin, design.instances[1].net_offset);
-  EXPECT_EQ(instances[1].footprint, design.instances[1].footprint);
+  // The instance ranges the DRC and lint take are the design's own.
+  ASSERT_EQ(design.instances.size(), 2u);
+  EXPECT_EQ(design.instances[0].name, "a0");
+  EXPECT_EQ(design.instances[0].cell_end, design.instances[1].cell_begin);
+  EXPECT_EQ(design.instances[0].net_end, design.instances[1].net_begin);
+  EXPECT_EQ(design.instances[1].footprint, b.pblock);
 }
 
 TEST(Composer, ConnectRefusesImplicitStreamFanOut) {

@@ -39,7 +39,7 @@ struct TwoInstanceFixture {
   PhysState phys;
   CellId c0 = 0, c1 = 0;
   NetId n0 = 0, n1 = 0, n2 = 0;
-  std::vector<DrcInstance> instances;
+  std::vector<InstanceRange> instances;
 
   TwoInstanceFixture() {
     n0 = nl.add_net(8, "in");
@@ -60,13 +60,13 @@ struct TwoInstanceFixture {
     phys.cell_loc[c0] = TileCoord{2, 2};
     phys.cell_loc[c1] = TileCoord{6, 2};
     instances = {
-        DrcInstance{"u0", Pblock{0, 0, 3, 7}, 0, 1, 0, 2},
-        DrcInstance{"u1", Pblock{4, 0, 7, 7}, 1, 2, 2, 3},
+        InstanceRange{"u0", Pblock{0, 0, 3, 7}, 0, 1, 0, 2},
+        InstanceRange{"u1", Pblock{4, 0, 7, 7}, 1, 2, 2, 3},
     };
   }
 };
 
-std::size_t count_rule(const DrcReport& report, const std::string& rule) {
+std::size_t count_rule(const FindingsReport& report, const std::string& rule) {
   return report.by_rule(rule).size();
 }
 
@@ -76,10 +76,10 @@ TEST(Drc, RegistryHasAllRulesWithUniqueIds) {
   const auto& rules = drc_rules();
   EXPECT_EQ(rules.size(), 16u);
   std::vector<std::string> ids;
-  for (const DrcRule* rule : rules) {
-    ids.emplace_back(rule->id());
-    EXPECT_NE(rule->what()[0], '\0');
-    EXPECT_NE(rule->stages(), 0u);
+  for (const DrcRule& rule : rules) {
+    ids.emplace_back(rule.id);
+    EXPECT_NE(rule.what[0], '\0');
+    EXPECT_NE(rule.stages, 0u);
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
@@ -87,7 +87,7 @@ TEST(Drc, RegistryHasAllRulesWithUniqueIds) {
 
 TEST(Drc, StructuralSubsetRunsFiveRules) {
   const Netlist nl = make_ff_netlist();
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.errors(), 0u);
   EXPECT_EQ(report.warnings(), 0u);
@@ -107,7 +107,7 @@ TEST(DrcNetDriver, FlagsDoubleDriver) {
   extra.width = 8;
   extra.outputs.push_back(1);  // also claims net 'q'
   nl.add_cell(extra);
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "net-driver"), 1u);
 }
@@ -124,7 +124,7 @@ TEST(DrcNetDangling, FlagsSinksWithoutDriver) {
   Netlist nl = make_ff_netlist();
   const NetId orphan = nl.add_net(4, "orphan");
   nl.net(orphan).sinks.emplace_back(0, 0);  // claims the FF without hookup
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "net-dangling"), 1u);
 }
@@ -140,7 +140,7 @@ TEST(DrcNetDangling, FlagsUnconnectedRequiredPin) {
 TEST(DrcNetWidth, FlagsDriverWidthMismatch) {
   Netlist nl = make_ff_netlist();
   nl.net(1).width = 4;  // FF produces 8 bits
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "net-width"), 1u);
 }
@@ -168,7 +168,7 @@ TEST(DrcNetWidth, AllowsImplicitZeroExtension) {
   const NetId out = nl.add_net(16, "wide_q");
   nl.connect_output(c, 0, out);
   nl.add_port({"wide", PortDir::kOutput, 16, out});
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_EQ(count_rule(report, "net-width"), 0u);
   EXPECT_TRUE(report.clean());
 }
@@ -194,7 +194,7 @@ TEST(DrcCombLoop, FlagsLutCycle) {
   nl.connect_input(b, 1, na);
   nl.connect_output(b, 0, nb);
   nl.add_port({"out", PortDir::kOutput, 1, nb});
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "comb-loop"), 1u);
 }
@@ -220,7 +220,7 @@ TEST(DrcCombLoop, PassesWhenRegisterBreaksCycle) {
   nl.connect_input(f, 0, na);
   nl.connect_output(f, 0, nq);
   nl.add_port({"out", PortDir::kOutput, 1, nq});
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_EQ(count_rule(report, "comb-loop"), 0u);
   EXPECT_TRUE(report.clean());
 }
@@ -230,11 +230,11 @@ TEST(DrcCombLoop, PassesWhenRegisterBreaksCycle) {
 TEST(DrcNetDead, WarnsOnOrphanNetButStaysClean) {
   Netlist nl = make_ff_netlist();
   nl.add_net(3, "leftover");
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_TRUE(report.clean());  // warning severity
   EXPECT_EQ(report.warnings(), 1u);
   EXPECT_EQ(count_rule(report, "net-dead"), 1u);
-  EXPECT_EQ(report.violations()[0].severity, DrcSeverity::kWarning);
+  EXPECT_EQ(report.findings()[0].severity, Severity::kWarning);
 }
 
 // -- place-bounds ------------------------------------------------------------
@@ -250,7 +250,7 @@ class DrcPlace : public ::testing::Test {
     ctx_.device = &device_;
   }
 
-  DrcReport run() { return run_drc(ctx_, kDrcPlacement); }
+  FindingsReport run() { return run_drc(ctx_, kDrcPlacement); }
 
   Device device_;
   Netlist nl_;
@@ -259,14 +259,14 @@ class DrcPlace : public ::testing::Test {
 };
 
 TEST_F(DrcPlace, BoundsPassOnPlacedDesign) {
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(count_rule(report, "place-bounds"), 0u);
 }
 
 TEST_F(DrcPlace, BoundsFlagOutOfDeviceCell) {
   phys_.cell_loc[0] = TileCoord{999, 999};
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "place-bounds"), 1u);
 }
@@ -285,14 +285,14 @@ TEST_F(DrcPlace, BoundsFlagLockedButUnplacedCell) {
 // -- place-escape ------------------------------------------------------------
 
 TEST_F(DrcPlace, EscapePassesInsideFootprint) {
-  ctx_.instances = {DrcInstance{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2}};
+  ctx_.instances = {InstanceRange{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2}};
   EXPECT_EQ(count_rule(run(), "place-escape"), 0u);
 }
 
 TEST_F(DrcPlace, EscapeFlagsCellOutsideFootprint) {
-  ctx_.instances = {DrcInstance{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2}};
+  ctx_.instances = {InstanceRange{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2}};
   phys_.cell_loc[0] = TileCoord{10, 10};
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "place-escape"), 1u);
 }
@@ -300,15 +300,15 @@ TEST_F(DrcPlace, EscapeFlagsCellOutsideFootprint) {
 // -- place-overlap -----------------------------------------------------------
 
 TEST_F(DrcPlace, OverlapPassesOnDisjointPblocks) {
-  ctx_.instances = {DrcInstance{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2},
-                    DrcInstance{"u1", Pblock{8, 0, 15, 7}, 1, 1, 2, 2}};
+  ctx_.instances = {InstanceRange{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2},
+                    InstanceRange{"u1", Pblock{8, 0, 15, 7}, 1, 1, 2, 2}};
   EXPECT_EQ(count_rule(run(), "place-overlap"), 0u);
 }
 
 TEST_F(DrcPlace, OverlapFlagsIntersectingPblocks) {
-  ctx_.instances = {DrcInstance{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2},
-                    DrcInstance{"u1", Pblock{4, 0, 11, 7}, 1, 1, 2, 2}};
-  const DrcReport report = run();
+  ctx_.instances = {InstanceRange{"u0", Pblock{0, 0, 7, 7}, 0, 1, 0, 2},
+                    InstanceRange{"u1", Pblock{4, 0, 11, 7}, 1, 1, 2, 2}};
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "place-overlap"), 1u);
 }
@@ -316,15 +316,15 @@ TEST_F(DrcPlace, OverlapFlagsIntersectingPblocks) {
 // -- place-overuse -----------------------------------------------------------
 
 TEST_F(DrcPlace, OverusePassesWhenDemandFits) {
-  ctx_.instances = {DrcInstance{
+  ctx_.instances = {InstanceRange{
       "u0", Pblock{0, 0, device_.width() - 1, device_.height() - 1}, 0, 1, 0, 2}};
   EXPECT_EQ(count_rule(run(), "place-overuse"), 0u);
 }
 
 TEST_F(DrcPlace, OveruseFlagsOversubscribedPblock) {
   nl_.cell(0).width = 4096;  // 4096 FFs cannot fit a single tile
-  ctx_.instances = {DrcInstance{"u0", Pblock{2, 2, 2, 2}, 0, 1, 0, 2}};
-  const DrcReport report = run();
+  ctx_.instances = {InstanceRange{"u0", Pblock{2, 2, 2, 2}, 0, 1, 0, 2}};
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "place-overuse"), 1u);
 }
@@ -333,14 +333,14 @@ TEST_F(DrcPlace, OveruseFlagsOversubscribedPblock) {
 
 TEST_F(DrcPlace, TileCrowdingPassesWithSpillRadius) {
   nl_.cell(0).width = 64;  // spreads over a few neighbouring tiles
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_EQ(count_rule(report, "place-tile-crowding"), 0u);
 }
 
 TEST_F(DrcPlace, TileCrowdingWarnsWhenRadiusTooSmall) {
   nl_.cell(0).width = 64;
   ctx_.tile_spill_radius = 0;
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());  // warning severity
   EXPECT_GE(report.warnings(), 1u);
   EXPECT_GE(count_rule(report, "place-tile-crowding"), 1u);
@@ -364,7 +364,7 @@ class DrcRoute : public ::testing::Test {
     mid.sink_delays_ns = {0.5};
   }
 
-  DrcReport run() { return run_drc(ctx_, kDrcRouting); }
+  FindingsReport run() { return run_drc(ctx_, kDrcRouting); }
 
   Device device_;
   TwoInstanceFixture fix_;
@@ -372,7 +372,7 @@ class DrcRoute : public ::testing::Test {
 };
 
 TEST_F(DrcRoute, OverusePassesAtDefaultCapacity) {
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(count_rule(report, "route-overuse"), 0u);
 }
@@ -384,7 +384,7 @@ TEST_F(DrcRoute, OveruseWarnsOnOversubscribedEdge) {
   in.edges.emplace_back(TileCoord{2, 2}, TileCoord{3, 2});
   in.sink_delays_ns = {0.2};
   ctx_.channel_capacity = 1;
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());  // warning severity
   EXPECT_GE(count_rule(report, "route-overuse"), 1u);
 }
@@ -403,7 +403,7 @@ TEST_F(DrcRoute, LockedConflictFlagsCrossInstanceOveruse) {
   out.routed = true;
   out.edges.emplace_back(TileCoord{2, 2}, TileCoord{3, 2});
   ctx_.channel_capacity = 1;
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "route-locked-conflict"), 1u);
 }
@@ -436,8 +436,8 @@ TEST_F(DrcRoute, EscapeFlagsInternalRouteLeavingPblock) {
   ctx_.instances[0].cell_end = 2;  // u0 now owns both FFs
   ctx_.instances[0].net_end = 3;
   ctx_.instances.pop_back();
-  ctx_.instances.push_back(DrcInstance{"u1", Pblock{8, 8, 9, 9}, 2, 2, 3, 3});
-  const DrcReport report = run();
+  ctx_.instances.push_back(InstanceRange{"u1", Pblock{8, 8, 9, 9}, 2, 2, 3, 3});
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "route-escape"), 1u);
 }
@@ -450,7 +450,7 @@ TEST_F(DrcRoute, EndpointsPassOnCoveringRoute) {
 
 TEST_F(DrcRoute, EndpointsFlagUnroutedPlacedNet) {
   fix_.phys.routes[fix_.n1] = RouteInfo{};
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "route-endpoints"), 1u);
 }
@@ -493,7 +493,7 @@ class DrcCheckpoint : public ::testing::Test {
     ctx_.device = &device_;
   }
 
-  DrcReport run() { return run_drc(ctx_, kDrcCheckpoint); }
+  FindingsReport run() { return run_drc(ctx_, kDrcCheckpoint); }
 
   Device device_;
   Checkpoint cp_;
@@ -501,14 +501,14 @@ class DrcCheckpoint : public ::testing::Test {
 };
 
 TEST_F(DrcCheckpoint, PinsPassOnBoundary) {
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(count_rule(report, "cp-pins"), 0u);
 }
 
 TEST_F(DrcCheckpoint, PinsWarnWhenInterior) {
   cp_.port_pins = {TileCoord{5, 5}, TileCoord{8, 6}};
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());  // warning severity
   EXPECT_GE(report.warnings(), 1u);
   EXPECT_EQ(count_rule(report, "cp-pins"), 1u);
@@ -516,14 +516,14 @@ TEST_F(DrcCheckpoint, PinsWarnWhenInterior) {
 
 TEST_F(DrcCheckpoint, PinsErrorOnCountMismatch) {
   cp_.port_pins = {TileCoord{2, 5}};  // two ports, one pin
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_EQ(count_rule(report, "cp-pins"), 1u);
 }
 
 TEST_F(DrcCheckpoint, PinsInfoWhenNoPlanRecorded) {
   cp_.port_pins.clear();
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.infos(), 1u);
   EXPECT_EQ(count_rule(report, "cp-pins"), 1u);
@@ -537,14 +537,14 @@ TEST_F(DrcCheckpoint, MetaPassesOnConsistentCheckpoint) {
 
 TEST_F(DrcCheckpoint, MetaFlagsNegativeQor) {
   cp_.meta.fmax_mhz = -1.0;
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "cp-meta"), 1u);
 }
 
 TEST_F(DrcCheckpoint, MetaFlagsDeviceMismatch) {
   cp_.meta.device = "some_other_part";
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "cp-meta"), 1u);
 }
@@ -556,7 +556,7 @@ TEST_F(DrcCheckpoint, MetaFlagsMisalignedPhys) {
 
 TEST_F(DrcCheckpoint, MetaWarnsOnFmaxCriticalPathDisagreement) {
   cp_.meta.critical_path_ns = 10.0;  // implies 100 MHz, meta says 250
-  const DrcReport report = run();
+  const FindingsReport report = run();
   EXPECT_TRUE(report.clean());
   EXPECT_GE(report.warnings(), 1u);
   EXPECT_GE(count_rule(report, "cp-meta"), 1u);
@@ -565,21 +565,21 @@ TEST_F(DrcCheckpoint, MetaWarnsOnFmaxCriticalPathDisagreement) {
 // -- checkpoint entry point --------------------------------------------------
 
 TEST_F(DrcCheckpoint, RunCheckpointDrcIsCleanOnGoodComponent) {
-  const DrcReport report = run_checkpoint_drc(cp_, &device_);
+  const FindingsReport report = run_checkpoint_drc(cp_, &device_);
   EXPECT_TRUE(report.clean()) << report.to_string();
   EXPECT_GT(report.rules_run(), 10u);  // all stages engaged
 }
 
 TEST_F(DrcCheckpoint, RunCheckpointDrcCatchesEscapedCell) {
   cp_.phys.cell_loc[0] = TileCoord{15, 15};  // outside the pblock
-  const DrcReport report = run_checkpoint_drc(cp_, &device_);
+  const FindingsReport report = run_checkpoint_drc(cp_, &device_);
   EXPECT_FALSE(report.clean());
   EXPECT_GE(count_rule(report, "place-escape"), 1u);
 }
 
 TEST_F(DrcCheckpoint, RunCheckpointDrcWorksWithoutDevice) {
   cp_.meta.device = "some_other_part";  // needs a device context to detect
-  const DrcReport report = run_checkpoint_drc(cp_);
+  const FindingsReport report = run_checkpoint_drc(cp_);
   EXPECT_TRUE(report.clean());
 }
 
@@ -588,9 +588,9 @@ TEST_F(DrcCheckpoint, RunCheckpointDrcWorksWithoutDevice) {
 TEST(DrcOptionsTest, WaivedRuleIsRecordedButNotCounted) {
   Netlist nl = make_ff_netlist();
   nl.net(1).driver_pin = 3;  // net-driver violation
-  DrcOptions opt;
+  CheckOptions opt;
   opt.waived_rules = {"net-driver"};
-  const DrcReport report = run_structural_drc(nl, opt);
+  const FindingsReport report = run_structural_drc(nl, opt);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.errors(), 0u);
   EXPECT_GE(report.waived(), 1u);
@@ -601,9 +601,9 @@ TEST(DrcOptionsTest, WaivedRuleIsRecordedButNotCounted) {
 TEST(DrcOptionsTest, PerRuleViolationCap) {
   Netlist nl = make_ff_netlist();
   for (int i = 0; i < 5; ++i) nl.add_net(1, "dead" + std::to_string(i));
-  DrcOptions opt;
-  opt.max_violations_per_rule = 2;
-  const DrcReport report = run_structural_drc(nl, opt);
+  CheckOptions opt;
+  opt.max_per_rule = 2;
+  const FindingsReport report = run_structural_drc(nl, opt);
   EXPECT_EQ(count_rule(report, "net-dead"), 2u);
   EXPECT_EQ(report.suppressed(), 3u);
 }
@@ -611,18 +611,18 @@ TEST(DrcOptionsTest, PerRuleViolationCap) {
 TEST(DrcEnforce, ThrowsOnErrorsOnly) {
   Netlist bad = make_ff_netlist();
   bad.net(1).driver_pin = 3;
-  EXPECT_THROW(enforce_drc(run_structural_drc(bad), "test"), std::runtime_error);
+  EXPECT_THROW(enforce(run_structural_drc(bad), "test"), std::runtime_error);
 
   Netlist warn_only = make_ff_netlist();
   warn_only.add_net(2, "dead");
-  EXPECT_NO_THROW(enforce_drc(run_structural_drc(warn_only), "test"));
+  EXPECT_NO_THROW(enforce(run_structural_drc(warn_only), "test"));
 }
 
-TEST(DrcReportTest, SummaryAndListing) {
+TEST(FindingsReportTest, SummaryAndListing) {
   Netlist nl = make_ff_netlist();
   nl.net(1).driver_pin = 3;
   nl.add_net(2, "dead");
-  const DrcReport report = run_structural_drc(nl);
+  const FindingsReport report = run_structural_drc(nl);
   EXPECT_NE(report.summary().find("error"), std::string::npos);
   EXPECT_NE(report.to_string().find("net-driver"), std::string::npos);
   EXPECT_NE(report.to_string().find("net-dead"), std::string::npos);

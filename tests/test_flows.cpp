@@ -94,7 +94,7 @@ TEST(Flows, LockedComponentRoutesSurviveComposition) {
   // relative geometry of the first route is preserved.
   const auto& inst = composed.instances[0];
   std::size_t edges_after = 0;
-  for (NetId n = inst.net_offset; n < inst.net_end; ++n) {
+  for (NetId n = inst.net_begin; n < inst.net_end; ++n) {
     edges_after += composed.phys.routes[n].edges.size();
   }
   EXPECT_GE(edges_after, locked_edges);
@@ -259,13 +259,27 @@ TEST(Flows, MonolithicLeNetFinishesDrcClean) {
   EXPECT_GT(mono.drc.rules_run(), 0u);
 }
 
-TEST(Flows, DrcGateCanBeDisabled) {
+TEST(Flows, GateStageSetsArePinned) {
+  // Every DRC gate always runs at its stage mask: structural (5 rules)
+  // after compose, + placement (10) after relocation or SA placement,
+  // + routing (14) after routing. The opt-in lint gate runs all 9 rules.
   MiniFlow f;
-  PreImplOptions opt;
-  opt.drc = false;
-  const PreImplReport report = f.compile(opt).report;
-  EXPECT_TRUE(report.route.success);
-  EXPECT_EQ(report.drc.rules_run(), 0u);  // gates skipped entirely
+  PreImplOptions pre_opt;
+  pre_opt.lint = true;
+  const PreImplReport pre = f.compile(pre_opt).report;
+  EXPECT_EQ(pre.drc_compose.rules_run(), 5u);
+  EXPECT_EQ(pre.drc_place.rules_run(), 10u);
+  EXPECT_EQ(pre.drc.rules_run(), 14u);
+  EXPECT_EQ(pre.lint.rules_run(), 9u);
+
+  Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
+  PhysState phys;
+  MonoOptions mono_opt;
+  mono_opt.lint = true;
+  const MonoReport mono = run_monolithic_flow(f.device, flat, phys, mono_opt);
+  EXPECT_EQ(mono.drc_place.rules_run(), 10u);
+  EXPECT_EQ(mono.drc.rules_run(), 14u);
+  EXPECT_EQ(mono.lint.rules_run(), 9u);
 }
 
 struct ResblockFlow : ServiceFlow {

@@ -15,9 +15,9 @@
 namespace fpgasim {
 namespace {
 
-std::vector<std::string> rule_ids(const lint::LintReport& report) {
+std::vector<std::string> rule_ids(const FindingsReport& report) {
   std::vector<std::string> ids;
-  for (const lint::Finding& f : report.findings()) ids.push_back(f.rule);
+  for (const Finding& f : report.findings()) ids.push_back(f.rule);
   return ids;
 }
 
@@ -44,16 +44,16 @@ TEST(Lint, CombinationalLoopDetected) {
   nl.connect_output(pass_id, 0, b);
   nl.add_port({"o", PortDir::kOutput, 1, b});
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-comb-loop"));
   EXPECT_FALSE(report.clean());
   const auto loops = report.by_rule("lint-comb-loop");
   ASSERT_EQ(loops.size(), 1u);
-  EXPECT_EQ(loops[0]->severity, lint::Severity::kError);
+  EXPECT_EQ(loops[0]->severity, Severity::kError);
   // The path names both cells and returns to its anchor.
   EXPECT_NE(loops[0]->message.find("'inv'"), std::string::npos) << loops[0]->message;
   EXPECT_NE(loops[0]->message.find("'fwd'"), std::string::npos) << loops[0]->message;
-  EXPECT_THROW(lint::enforce(report, "test"), std::runtime_error);
+  EXPECT_THROW(enforce(report, "test"), std::runtime_error);
 }
 
 TEST(Lint, RegistersBreakCombinationalCycles) {
@@ -65,7 +65,7 @@ TEST(Lint, RegistersBreakCombinationalCycles) {
   b.out_port("value", ctr.value);
   const Netlist nl = std::move(b).take();
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   EXPECT_FALSE(report.has("lint-comb-loop")) << report.to_string();
   EXPECT_TRUE(report.empty()) << report.to_string();
 }
@@ -79,7 +79,7 @@ TEST(Lint, DeadConeFlagged) {
   b.ff(cone, kInvalidNet, 1);  // dead: output net has no readers
   Netlist nl = b.netlist();    // bypass take(): keep the dead logic
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-dead-cell")) << report.to_string();
   ASSERT_TRUE(report.has("lint-unread-net")) << report.to_string();
   // Both cells of the cone are dead; every finding is warning-severity,
@@ -101,11 +101,11 @@ TEST(Lint, StuckAtLutFoldable) {
   b.out_port("out", masked);
   const Netlist nl = b.netlist();
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-const-lut")) << report.to_string();
   const auto findings = report.by_rule("lint-const-lut");
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0]->severity, lint::Severity::kWarning);
+  EXPECT_EQ(findings[0]->severity, Severity::kWarning);
   EXPECT_NE(findings[0]->message.find("always evaluates to 0"), std::string::npos)
       << findings[0]->message;
 }
@@ -119,7 +119,7 @@ TEST(Lint, StuckNetThroughRegister) {
   b.out_port("out", b.ff(picked, kInvalidNet, 8));
   const Netlist nl = b.netlist();
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   // The mux is reported as a foldable LUT; the FF output joins
   // Const(7) with reset Const(0) and is not constant -- exactly one finding.
   ASSERT_TRUE(report.has("lint-const-lut")) << report.to_string();
@@ -135,11 +135,11 @@ TEST(Lint, XEscapesThroughRegisterToOutput) {
   b.out_port("out", b.ff(data, kInvalidNet, 8));
   const Netlist nl = b.netlist();
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-x-escape")) << report.to_string();
   const auto findings = report.by_rule("lint-x-escape");
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0]->severity, lint::Severity::kError);
+  EXPECT_EQ(findings[0]->severity, Severity::kError);
   EXPECT_NE(findings[0]->message.find("uninitialized"), std::string::npos);
   EXPECT_NE(findings[0]->message.find("'uninit'"), std::string::npos)
       << findings[0]->message;
@@ -152,7 +152,7 @@ TEST(Lint, RomBramDoesNotLeakX) {
   const std::int32_t rom = b.rom({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
   const NetId data = b.bram(addr, kInvalidNet, kInvalidNet, 16, 8, rom, "coeffs");
   b.out_port("out", b.ff(data, kInvalidNet, 8));
-  const lint::LintReport report = lint::run(b.netlist());
+  const FindingsReport report = lint::run(b.netlist());
   EXPECT_TRUE(report.empty()) << report.to_string();
 }
 
@@ -174,7 +174,7 @@ TEST(Lint, WidthMismatchAtCellPort) {
   nl.connect_output(add_id, 0, narrow);
   nl.add_port({"out", PortDir::kOutput, 8, narrow});
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-width-mismatch")) << report.to_string();
   EXPECT_FALSE(report.clean());
 }
@@ -194,7 +194,7 @@ TEST(Lint, FloatingRequiredInputFlagged) {
   nl.connect_output(add_id, 0, out);
   nl.add_port({"out", PortDir::kOutput, 8, out});
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-floating-input")) << report.to_string();
   // The missing operand also makes the output X at the port.
   EXPECT_TRUE(report.has("lint-x-escape")) << report.to_string();
@@ -214,7 +214,7 @@ TEST(Lint, MultipleDriversFlagged) {
   }
   nl.add_port({"out", PortDir::kOutput, 1, shared});
 
-  const lint::LintReport report = lint::run(nl);
+  const FindingsReport report = lint::run(nl);
   ASSERT_TRUE(report.has("lint-multi-driver")) << report.to_string();
   EXPECT_FALSE(report.clean());
 }
@@ -227,14 +227,14 @@ TEST(Lint, WaiversKeepFindingsButNotCounts) {
   const NetId data = b.bram(addr, kInvalidNet, kInvalidNet, 16, 8, -1, "uninit");
   b.out_port("out", data);
 
-  lint::LintOptions opt;
+  CheckOptions opt;
   opt.waived_rules = {"lint-x-escape"};
-  const lint::LintReport report = lint::run(b.netlist(), opt);
+  const FindingsReport report = lint::run(b.netlist(), opt);
   EXPECT_TRUE(report.has("lint-x-escape"));
   EXPECT_EQ(report.errors(), 0u);
   EXPECT_EQ(report.waived(), 1u);
   EXPECT_TRUE(report.clean());
-  EXPECT_NO_THROW(lint::enforce(report, "test"));
+  EXPECT_NO_THROW(enforce(report, "test"));
 }
 
 TEST(Lint, PerRuleFindingCap) {
@@ -242,9 +242,9 @@ TEST(Lint, PerRuleFindingCap) {
   const NetId x = b.in_port("x", 1);
   b.out_port("out", b.ff(x, kInvalidNet, 1));
   for (int i = 0; i < 8; ++i) b.and2(x, x);  // eight dead cells
-  lint::LintOptions opt;
-  opt.max_findings_per_rule = 3;
-  const lint::LintReport report = lint::run(b.netlist(), opt);
+  CheckOptions opt;
+  opt.max_per_rule = 3;
+  const FindingsReport report = lint::run(b.netlist(), opt);
   EXPECT_EQ(report.by_rule("lint-dead-cell").size(), 3u);
   EXPECT_GT(report.suppressed(), 0u);
 }
@@ -280,10 +280,10 @@ TEST(Lint, StitchBoundaryWidthMismatchNamesInstances) {
 
   EXPECT_TRUE(lint::run(whole).empty()) << "no instances: in-component widening is legal";
 
-  lint::LintOptions opt;
-  opt.instances = {{"producer", prod, prod + 1, in, out},
-                   {"consumer", cons, cons + 1, out, out + 1}};
-  const lint::LintReport report = lint::run(whole, opt);
+  const std::vector<InstanceRange> instances = {
+      {"producer", Pblock{}, prod, prod + 1, in, out},
+      {"consumer", Pblock{}, cons, cons + 1, out, out + 1}};
+  const FindingsReport report = lint::run(whole, {}, instances);
   ASSERT_TRUE(report.has("lint-width-mismatch")) << report.to_string();
   const auto findings = report.by_rule("lint-width-mismatch");
   ASSERT_EQ(findings.size(), 1u);
@@ -376,7 +376,7 @@ TEST(Lint, FindingOrderFollowsRuleRegistration) {
   b.and2(x, x);  // dead cell
   const NetId masked = b.op2(LutOp::kAnd, x, b.zero(8), 8);  // const lut
   b.out_port("out", masked);
-  const lint::LintReport report = lint::run(b.netlist());
+  const FindingsReport report = lint::run(b.netlist());
   const std::vector<std::string> ids = rule_ids(report);
   ASSERT_GE(ids.size(), 2u);
   std::vector<std::size_t> ranks;

@@ -328,7 +328,7 @@ TEST(Integration, RelocatedCheckpointStaysWithinDevice) {
     EXPECT_LT(inst.footprint.x1, device.width());
     EXPECT_GE(inst.footprint.y0, 0);
     EXPECT_LT(inst.footprint.y1, device.height());
-    for (CellId c = inst.cell_offset; c < inst.cell_end; ++c) {
+    for (CellId c = inst.cell_begin; c < inst.cell_end; ++c) {
       const TileCoord loc = composed.phys.cell_loc[c];
       EXPECT_TRUE(inst.footprint.contains(loc.x, loc.y));
     }

@@ -144,7 +144,7 @@ TEST(RouteDeterminism, LenetPreImplRoutingIsByteIdenticalAcrossWidths) {
     chain.push_back(std::move(cp));
   }
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    composer.add_instance(*chain[i], "inst" + std::to_string(i), i);
+    composer.add_instance(*chain[i], "inst" + std::to_string(i));
   }
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
     composer.connect(static_cast<int>(i), static_cast<int>(i + 1));

@@ -146,9 +146,9 @@ int run_verify(CheckpointStore& store, bool json) {
     if (!hash_ok && exit_code == 0) exit_code = 1;
     try {
       const Checkpoint checkpoint = load_checkpoint(entry.path);
-      const DrcReport drc = run_checkpoint_drc(checkpoint);
+      const FindingsReport drc = run_checkpoint_drc(checkpoint);
       drc_errors = drc.errors();
-      const lint::LintReport lint_report = lint::run(checkpoint.netlist);
+      const FindingsReport lint_report = lint::run(checkpoint.netlist);
       lint_errors = lint_report.errors();
       lint_warnings = lint_report.warnings();
       if ((drc_errors > 0 || lint_errors > 0) && exit_code == 0) exit_code = 1;

@@ -46,7 +46,7 @@ void usage(std::FILE* to) {
 
 void print_rules() {
   for (const fpgasim::lint::RuleInfo& rule : fpgasim::lint::rules()) {
-    std::printf("%-24s %-8s %s\n", rule.id, fpgasim::lint::to_string(rule.severity),
+    std::printf("%-24s %-8s %s\n", rule.id, fpgasim::to_string(rule.severity),
                 rule.what);
   }
 }
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   bool json = false;
   std::string model_name;
   long dsp_budget = -1;  // -1: per-model default
-  lint::LintOptions options;
+  CheckOptions options;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   JsonWriter out;
   if (json) out.begin_array();
 
-  const auto deliver = [&](const lint::LintReport& report) {
+  const auto deliver = [&](const FindingsReport& report) {
     if (json) {
       out.raw(report.to_json());
     } else {
@@ -107,8 +107,7 @@ int main(int argc, char** argv) {
   for (const std::string& path : paths) {
     try {
       const Checkpoint checkpoint = load_checkpoint(path);
-      lint::LintOptions per_file = options;
-      deliver(lint::run(checkpoint.netlist, per_file));
+      deliver(lint::run(checkpoint.netlist, options));
     } catch (const std::exception& e) {
       // A checkpoint that cannot even be parsed is worse than one with
       // findings; report it in-band so CI sees which file and why.
@@ -144,12 +143,7 @@ int main(int argc, char** argv) {
     CheckpointStore store;
     CompileService service(device, store);
     const ComposedDesign composed = service.compile(model, impl, groups).design;
-    lint::LintOptions composed_opt = options;
-    for (const ComposedDesign::Instance& inst : composed.instances) {
-      composed_opt.instances.push_back(
-          {inst.name, inst.cell_offset, inst.cell_end, inst.net_offset, inst.net_end});
-    }
-    deliver(lint::run(composed.netlist, composed_opt));
+    deliver(lint::run(composed.netlist, options, composed.instances));
   }
 
   if (json) {

@@ -37,8 +37,8 @@ int main() {
     for (int i = 0; i < kReplicas; ++i) {
       chain.nodes.push_back(&ooc.checkpoint);
       chain.names.push_back(std::string(to_string(app)) + std::to_string(i));
-      if (i > 0) chain.edges.push_back(StreamEdge{i - 1, i, 0, 0});
     }
+    chain.edges = chain_edges(kReplicas);
     ComposedDesign composed;
     const PreImplReport pre = run_preimpl_flow(device, chain, composed);
 

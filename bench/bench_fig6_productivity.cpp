@@ -19,18 +19,11 @@ namespace {
 /// in-place inside the flow and keeps only the report).
 ComposedDesign compose_and_place(const Device& device, const NetworkRun& run) {
   Composer composer("route_bench");
-  std::vector<const Checkpoint*> chain;
-  for (const auto& group : run.groups) {
-    chain.push_back(run.component(group));
+  for (std::size_t i = 0; i < run.groups.size(); ++i) {
+    composer.add_instance(*run.component(run.groups[i]), "inst" + std::to_string(i));
   }
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    composer.add_instance(*chain[i], "inst" + std::to_string(i));
-  }
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    composer.connect(static_cast<int>(i), static_cast<int>(i + 1));
-  }
-  composer.expose_input(0);
-  composer.expose_output(static_cast<int>(chain.size()) - 1);
+  const int n = static_cast<int>(run.groups.size());
+  composer.stitch(chain_edges(n), 0, n - 1);
   ComposedDesign composed = std::move(composer).finish();
   const MacroPlaceResult macro =
       place_macros(device, composed.macro_items(), composed.macro_nets, MacroPlaceOptions{});

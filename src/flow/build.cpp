@@ -28,16 +28,6 @@ Netlist build_layer(const CnnModel& model, const ModelImpl& impl, int layer_idx,
   return synth(model, impl, layer_idx, fuse_relu, seed_base);
 }
 
-/// True when any layer output feeds more than one consumer: only then does
-/// the model need the group-DAG machinery (chains keep the historical,
-/// byte-identical path).
-bool model_branches(const CnnModel& model) {
-  for (int count : model.consumer_counts()) {
-    if (count > 1) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 ComponentDfg expand_group_graph(const GroupGraph& graph) {
@@ -152,16 +142,12 @@ std::vector<ComponentRequest> component_requests(const CnnModel& model,
     if (queued(key)) continue;
     requests.push_back(ComponentRequest{std::move(key), &group, 0});
   }
-  // Branching models additionally need the stream forks of the group DAG,
-  // appended after the group keys.
-  if (model_branches(model)) {
-    const GroupGraph graph = build_group_graph(model, groups);
-    for (int fanout : graph.fanout) {
-      if (fanout <= 1) continue;
-      std::string key = fork_signature(fanout);
-      if (queued(key)) continue;
-      requests.push_back(ComponentRequest{std::move(key), nullptr, fanout});
-    }
+  // The stream forks of the group DAG follow the group keys.
+  for (int fanout : build_group_graph(model, groups).fanout) {
+    if (fanout <= 1) continue;
+    std::string key = fork_signature(fanout);
+    if (queued(key)) continue;
+    requests.push_back(ComponentRequest{std::move(key), nullptr, fanout});
   }
   return requests;
 }
@@ -182,35 +168,18 @@ Netlist build_component_netlist(const CnnModel& model, const ModelImpl& impl,
 Netlist build_flat_netlist(const CnnModel& model, const ModelImpl& impl,
                            const std::vector<std::vector<int>>& groups,
                            std::uint64_t seed_base) {
-  if (!model_branches(model)) {
-    // Historical chain path, byte-identical with earlier releases.
-    std::vector<Netlist> components;
-    components.reserve(groups.size());
-    for (const auto& group : groups) {
-      components.push_back(build_group_netlist(model, impl, group, seed_base));
-    }
-    std::vector<const Netlist*> pointers;
-    pointers.reserve(components.size());
-    for (const Netlist& component : components) pointers.push_back(&component);
-    return stitch_chain(pointers, model.name() + "_flat");
-  }
-  const GroupGraph graph = build_group_graph(model, groups);
-  const ComponentDfg dfg = expand_group_graph(graph);
-  std::vector<Netlist> components;
-  components.reserve(dfg.nodes.size());
+  const ComponentDfg dfg = expand_group_graph(build_group_graph(model, groups));
+  Composer composer(model.name() + "_flat");
   for (const ComponentDfg::Node& node : dfg.nodes) {
-    if (node.group_index >= 0) {
-      components.push_back(build_group_netlist(
-          model, impl, groups[static_cast<std::size_t>(node.group_index)], seed_base));
-    } else {
-      components.push_back(make_stream_fork(fork_signature(node.branches), node.branches));
-    }
+    const Netlist component =
+        node.group_index >= 0
+            ? build_group_netlist(model, impl,
+                                  groups[static_cast<std::size_t>(node.group_index)], seed_base)
+            : make_stream_fork(fork_signature(node.branches), node.branches);
+    composer.add_instance(component, component.name());
   }
-  std::vector<const Netlist*> pointers;
-  pointers.reserve(components.size());
-  for (const Netlist& component : components) pointers.push_back(&component);
-  return stitch_graph(pointers, dfg.edges, dfg.input_node, dfg.output_node,
-                      model.name() + "_flat");
+  composer.stitch(dfg.edges, dfg.input_node, dfg.output_node);
+  return std::move(composer).finish().netlist;
 }
 
 }  // namespace fpgasim

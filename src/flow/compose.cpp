@@ -1,10 +1,10 @@
 #include "flow/compose.h"
 
-#include "drc/drc.h"
-#include "synth/layers.h"
-
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
+
+#include "synth/layers.h"
 
 namespace fpgasim {
 
@@ -59,14 +59,19 @@ std::vector<MacroItem> ComposedDesign::macro_items() const {
 
 Composer::Composer(std::string top_name) { design_.netlist.set_name(std::move(top_name)); }
 
-int Composer::add_instance(const Checkpoint& checkpoint, const std::string& instance_name) {
-  const auto [cell_offset, net_offset] = design_.netlist.merge(checkpoint.netlist);
-  design_.phys.append(checkpoint.phys);
-  design_.instances.push_back({instance_name, checkpoint.pblock, cell_offset,
+int Composer::add_instance(const Netlist& netlist, const std::string& instance_name,
+                           const PhysState* phys, const Pblock& pblock) {
+  const auto [cell_offset, net_offset] = design_.netlist.merge(netlist);
+  if (phys != nullptr) {
+    design_.phys.append(*phys);
+  } else {
+    design_.phys.resize_for(design_.netlist);
+  }
+  design_.instances.push_back({instance_name, pblock, cell_offset,
                                static_cast<CellId>(design_.netlist.cell_count()), net_offset,
                                static_cast<NetId>(design_.netlist.net_count())});
 
-  std::vector<Port> ports = checkpoint.netlist.ports();
+  std::vector<Port> ports = netlist.ports();
   for (Port& port : ports) port.net += net_offset;
   instance_ports_.push_back(std::move(ports));
   return static_cast<int>(design_.instances.size()) - 1;
@@ -122,121 +127,52 @@ void Composer::connect(int from, int to, int to_port, int from_port) {
   design_.macro_nets.push_back(MacroNet{{from, to}, 1.0});
 }
 
-void Composer::expose_input(int instance) {
-  Netlist& nl = design_.netlist;
-  if (!has_port(instance, "in_data")) port_net(instance, "in_data");  // throws
-  for (int k = 0; has_port(instance, stream_port_name("in", k, "data")); ++k) {
-    bool used = false;
-    for (const auto& key : used_inputs_) used |= key == std::make_pair(instance, k);
-    if (used) continue;
-    nl.add_port(Port{stream_port_name("in", k, "data"), PortDir::kInput, kDataW,
-                     port_net(instance, stream_port_name("in", k, "data"))});
-    nl.add_port(Port{stream_port_name("in", k, "valid"), PortDir::kInput, 1,
-                     port_net(instance, stream_port_name("in", k, "valid"))});
-    nl.add_port(Port{stream_port_name("in", k, "ready"), PortDir::kOutput, 1,
-                     port_net(instance, stream_port_name("in", k, "ready"))});
+void Composer::expose_streams(int instance, bool input) {
+  const char* side = input ? "in" : "out";
+  const PortDir along = input ? PortDir::kInput : PortDir::kOutput;
+  const PortDir against = input ? PortDir::kOutput : PortDir::kInput;
+  const auto& used = input ? used_inputs_ : used_outputs_;
+  port_net(instance, stream_port_name(side, 0, "data"));  // throws when absent
+  for (int k = 0; has_port(instance, stream_port_name(side, k, "data")); ++k) {
+    if (std::find(used.begin(), used.end(), std::make_pair(instance, k)) != used.end()) {
+      continue;
+    }
+    const auto add = [&](const char* field, PortDir dir, std::uint16_t width) {
+      const std::string name = stream_port_name(side, k, field);
+      design_.netlist.add_port(Port{name, dir, width, port_net(instance, name)});
+    };
+    add("data", along, kDataW);
+    add("valid", along, 1);
+    add("ready", against, 1);
   }
 }
 
-void Composer::expose_output(int instance) {
-  Netlist& nl = design_.netlist;
-  if (!has_port(instance, "out_data")) port_net(instance, "out_data");  // throws
-  for (int k = 0; has_port(instance, stream_port_name("out", k, "data")); ++k) {
-    bool used = false;
-    for (const auto& key : used_outputs_) used |= key == std::make_pair(instance, k);
-    if (used) continue;
-    nl.add_port(Port{stream_port_name("out", k, "data"), PortDir::kOutput, kDataW,
-                     port_net(instance, stream_port_name("out", k, "data"))});
-    nl.add_port(Port{stream_port_name("out", k, "valid"), PortDir::kOutput, 1,
-                     port_net(instance, stream_port_name("out", k, "valid"))});
-    nl.add_port(Port{stream_port_name("out", k, "ready"), PortDir::kInput, 1,
-                     port_net(instance, stream_port_name("out", k, "ready"))});
-  }
+void Composer::stitch(const std::vector<StreamEdge>& edges, int input, int output) {
+  for (const StreamEdge& e : edges) connect(e.from, e.to, e.to_port, e.from_port);
+  expose_input(input);
+  expose_output(output);
 }
 
-ComposedDesign Composer::finish() && {
-  // Gate the stitched netlist on the structural DRC subset before handing
-  // it to placement. Unexposed stream inputs are legally driverless until
-  // expose_input()/expose_output(), so net-dangling is waived here; the
-  // flow-level gates re-run it unwaived after the boundary is exposed.
-  enforce(run_structural_drc(design_.netlist, {.waived_rules = {"net-dangling"}}), "compose");
-  return std::move(design_);
-}
-
-Netlist stitch_chain(const std::vector<const Netlist*>& stages, const std::string& name) {
-  std::vector<StreamEdge> edges;
-  for (std::size_t s = 0; s + 1 < stages.size(); ++s) {
-    edges.push_back(StreamEdge{static_cast<int>(s), static_cast<int>(s + 1), 0, 0});
-  }
-  return stitch_graph(stages, edges, 0, static_cast<int>(stages.size()) - 1, name);
-}
+ComposedDesign Composer::finish() && { return std::move(design_); }
 
 Netlist stitch_graph(const std::vector<const Netlist*>& stages,
                      const std::vector<StreamEdge>& edges, int input_stage,
                      int output_stage, const std::string& name) {
-  Netlist top(name);
-  std::vector<std::vector<Port>> ports;
-  for (const Netlist* stage : stages) {
-    const auto [cell_offset, net_offset] = top.merge(*stage);
-    (void)cell_offset;
-    std::vector<Port> adjusted = stage->ports();
-    for (Port& port : adjusted) port.net += net_offset;
-    ports.push_back(std::move(adjusted));
-  }
-  auto maybe_find = [&](int stage, const std::string& port_name) -> NetId {
-    for (const Port& port : ports[static_cast<std::size_t>(stage)]) {
-      if (port.name == port_name) return port.net;
-    }
-    return kInvalidNet;
-  };
-  auto find = [&](int stage, const std::string& port_name) -> NetId {
-    const NetId net = maybe_find(stage, port_name);
-    if (net == kInvalidNet) {
-      throw std::runtime_error("stitch_graph: stage missing port '" + port_name + "'");
-    }
-    return net;
-  };
-  for (const StreamEdge& e : edges) {
-    alias_net(top, find(e.to, stream_port_name("in", e.to_port, "data")),
-              find(e.from, stream_port_name("out", e.from_port, "data")));
-    alias_net(top, find(e.to, stream_port_name("in", e.to_port, "valid")),
-              find(e.from, stream_port_name("out", e.from_port, "valid")));
-    alias_net(top, find(e.from, stream_port_name("out", e.from_port, "ready")),
-              find(e.to, stream_port_name("in", e.to_port, "ready")));
-  }
-  auto is_connected_input = [&](int stage, int port) {
-    for (const StreamEdge& e : edges) {
-      if (e.to == stage && e.to_port == port) return true;
-    }
-    return false;
-  };
-  auto is_connected_output = [&](int stage, int port) {
-    for (const StreamEdge& e : edges) {
-      if (e.from == stage && e.from_port == port) return true;
-    }
-    return false;
-  };
-  for (int k = 0; maybe_find(input_stage, stream_port_name("in", k, "data")) != kInvalidNet;
-       ++k) {
-    if (is_connected_input(input_stage, k)) continue;
-    top.add_port(Port{stream_port_name("in", k, "data"), PortDir::kInput, kDataW,
-                      find(input_stage, stream_port_name("in", k, "data"))});
-    top.add_port(Port{stream_port_name("in", k, "valid"), PortDir::kInput, 1,
-                      find(input_stage, stream_port_name("in", k, "valid"))});
-    top.add_port(Port{stream_port_name("in", k, "ready"), PortDir::kOutput, 1,
-                      find(input_stage, stream_port_name("in", k, "ready"))});
-  }
-  for (int k = 0;
-       maybe_find(output_stage, stream_port_name("out", k, "data")) != kInvalidNet; ++k) {
-    if (is_connected_output(output_stage, k)) continue;
-    top.add_port(Port{stream_port_name("out", k, "data"), PortDir::kOutput, kDataW,
-                      find(output_stage, stream_port_name("out", k, "data"))});
-    top.add_port(Port{stream_port_name("out", k, "valid"), PortDir::kOutput, 1,
-                      find(output_stage, stream_port_name("out", k, "valid"))});
-    top.add_port(Port{stream_port_name("out", k, "ready"), PortDir::kInput, 1,
-                      find(output_stage, stream_port_name("out", k, "ready"))});
-  }
-  return top;
+  Composer composer(name);
+  for (const Netlist* stage : stages) composer.add_instance(*stage, stage->name());
+  composer.stitch(edges, input_stage, output_stage);
+  return std::move(composer).finish().netlist;
+}
+
+std::vector<StreamEdge> chain_edges(int stages) {
+  std::vector<StreamEdge> edges;
+  for (int s = 0; s + 1 < stages; ++s) edges.push_back(StreamEdge{s, s + 1, 0, 0});
+  return edges;
+}
+
+Netlist stitch_chain(const std::vector<const Netlist*>& stages, const std::string& name) {
+  const int n = static_cast<int>(stages.size());
+  return stitch_graph(stages, chain_edges(n), 0, n - 1, name);
 }
 
 }  // namespace fpgasim

@@ -1,6 +1,8 @@
-// Architecture composition: instantiates pre-implemented checkpoints as
-// filled black boxes inside a top-level design and stitches their stream
-// interfaces by inserting nets into the netlist (Sec. IV-B3).
+// Architecture composition: instantiates components inside a top-level
+// design and stitches their stream interfaces by inserting nets into the
+// netlist (Sec. IV-B3). The one stitcher of the repo: pre-implemented
+// checkpoints (filled black boxes) and bare netlists (flat synthesis,
+// multi-layer components) go through the same aliasing.
 #pragma once
 
 #include <string>
@@ -52,14 +54,21 @@ struct ComposedDesign {
   std::vector<MacroItem> macro_items() const;
 };
 
-/// Builds compositions. Checkpoints passed to add_instance must stay alive
-/// until finish().
+/// Builds compositions. Copies what it instantiates.
 class Composer {
  public:
   explicit Composer(std::string top_name);
 
-  /// Adds a black-box instance filled with `checkpoint`; returns its index.
-  int add_instance(const Checkpoint& checkpoint, const std::string& instance_name);
+  /// Adds an instance of `netlist` with its physical state and pblock;
+  /// returns its index. Without `phys` the instance is unplaced and
+  /// unrouted (a bare netlist).
+  int add_instance(const Netlist& netlist, const std::string& instance_name,
+                   const PhysState* phys = nullptr, const Pblock& pblock = {});
+
+  /// Adds a black-box instance filled with `checkpoint`.
+  int add_instance(const Checkpoint& checkpoint, const std::string& instance_name) {
+    return add_instance(checkpoint.netlist, instance_name, &checkpoint.phys, checkpoint.pblock);
+  }
 
   /// Stream-connects output stream `from_port` of instance `from` to input
   /// stream `to_port` of instance `to`: out_data/out_valid ->
@@ -71,19 +80,25 @@ class Composer {
 
   /// Exposes `instance`'s still-unconnected input streams as top-level
   /// ports (in_data/in_valid/in_ready, then in2_*, ...).
-  void expose_input(int instance);
+  void expose_input(int instance) { expose_streams(instance, true); }
   /// Exposes `instance`'s still-unconnected output streams as top-level
   /// ports.
-  void expose_output(int instance);
+  void expose_output(int instance) { expose_streams(instance, false); }
 
-  /// Finalizes the composition. Runs the structural DRC subset over the
-  /// stitched netlist and throws on errors ("net-dangling" is waived:
-  /// unexposed stream inputs are legally driverless until expose_*()).
+  /// connect()s every edge in order, then exposes the input streams of
+  /// `input` and the output streams of `output`.
+  void stitch(const std::vector<StreamEdge>& edges, int input, int output);
+
+  /// Finalizes the composition. Runs no check: the flows gate the result
+  /// (run_gate) once its boundary is exposed.
   ComposedDesign finish() &&;
 
  private:
   NetId port_net(int instance, const std::string& port_name) const;
   bool has_port(int instance, const std::string& port_name) const;
+  /// Adds a top-level data/valid/ready port triple for every unconnected
+  /// input (or output) stream of `instance`; throws when it has none.
+  void expose_streams(int instance, bool input);
 
   ComposedDesign design_;
   std::vector<std::vector<Port>> instance_ports_;  // offset-adjusted copies
@@ -91,18 +106,18 @@ class Composer {
   std::vector<std::pair<int, int>> used_inputs_;
 };
 
-/// Convenience: functionally stitches a linear chain of *unimplemented*
-/// netlists into one flat netlist with the standard stream interface.
-/// Used to form multi-layer components ahead of OOC implementation.
-Netlist stitch_chain(const std::vector<const Netlist*>& stages, const std::string& name);
+/// The edges of a linear chain of `stages` nodes: node s feeds node s + 1.
+std::vector<StreamEdge> chain_edges(int stages);
 
-/// Functionally stitches an *unimplemented* component DAG into one flat
-/// netlist: every edge is aliased like stitch_chain's neighbor stitching,
-/// the unconnected input streams of `input_stage` and output streams of
-/// `output_stage` become the top-level stream interface. For a linear
-/// chain this reduces to stitch_chain exactly.
+/// Stitches an *unimplemented* component DAG into one flat netlist through
+/// Composer: the unconnected input streams of `input_stage` and output
+/// streams of `output_stage` become the top-level stream interface.
 Netlist stitch_graph(const std::vector<const Netlist*>& stages,
                      const std::vector<StreamEdge>& edges, int input_stage,
                      int output_stage, const std::string& name);
+
+/// stitch_graph over a linear chain (stage s feeds stage s + 1). Forms
+/// multi-layer components ahead of OOC implementation.
+Netlist stitch_chain(const std::vector<const Netlist*>& stages, const std::string& name);
 
 }  // namespace fpgasim

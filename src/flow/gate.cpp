@@ -26,9 +26,7 @@ void run_gate(const GateSubject& subject, unsigned stages, const char* after,
 
   if (last->lint) {
     // Stitch-boundary aware through the instance ranges.
-    watch.restart();
     report.lint = lint::run(subject.netlist, {}, subject.instances);
-    report.lint_seconds = watch.seconds();
     enforce(report.lint, where);
   }
   if (last->compiled_verify) {

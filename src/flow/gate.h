@@ -31,7 +31,6 @@ struct GateReport {
   double drc_seconds = 0.0;  // every DRC gate of the flow together
   // fpgalint gate result over the final netlist (empty when
   // GateOptions::lint is off).
-  double lint_seconds = 0.0;
   FindingsReport lint{"lint"};
   // Compiled-verify gate (false/0 when GateOptions::compiled_verify is
   // off; the gate throws on divergence, so a finished flow implies ok).

@@ -22,7 +22,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
                                const MonoOptions& opt) {
   MonoReport report;
   Stopwatch total;
-  CpuStopwatch total_cpu;
 
   const std::vector<InstanceRange> flat;  // one flat design, no instances
   const GateSubject gate{"monolithic", device, netlist, phys, flat,
@@ -34,9 +33,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   std::vector<PlaceItem> items;
   std::vector<PlaceNet> nets;
   build_place_model(netlist, clustering, items, nets);
-  report.cluster_seconds = stage.seconds();
 
-  stage.restart();
   SaOptions sa;
   // Like a commercial placer, pack the design into a region sized to its
   // demand instead of scattering it across the die.
@@ -180,7 +177,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
 
   report.stats = netlist.stats();
   report.total_seconds = total.seconds();
-  report.total_cpu_seconds = total_cpu.seconds();
   LOG_DEBUG("monolithic '%s': %s, %.2fs total (place %.2f route %.2f physopt %.2f)",
             netlist.name().c_str(), report.timing.summary().c_str(), report.total_seconds,
             report.place_seconds, report.route_seconds, report.phys_opt_seconds);

@@ -29,13 +29,11 @@ struct MonoOptions : GateOptions {
 
 /// GateReport carries drc_seconds and the opt-in gates' results.
 struct MonoReport : GateReport {
-  double cluster_seconds = 0.0;
-  double place_seconds = 0.0;
+  double place_seconds = 0.0;  // clustering + SA placement
   double route_seconds = 0.0;
   double phys_opt_seconds = 0.0;
   double sta_seconds = 0.0;
-  double total_seconds = 0.0;      // wall time
-  double total_cpu_seconds = 0.0;  // process CPU time over the same span
+  double total_seconds = 0.0;  // wall time
 
   NetlistStats stats;        // post-phys-opt
   TimingResult timing;

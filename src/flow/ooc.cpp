@@ -59,7 +59,6 @@ std::vector<TileCoord> plan_partition_pins(const Netlist& netlist, const Pblock&
 
 OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions& opt) {
   Stopwatch watch;
-  CpuStopwatch cpu_watch;
   const NetlistStats stats = netlist.stats();
   const ResourceVec need = scale(stats.resources, opt.pblock_slack);
 
@@ -149,7 +148,6 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
   if (opt.lock) netlist.lock_all();
   best.checkpoint.netlist = std::move(netlist);
   best.seconds = watch.seconds();
-  best.cpu_seconds = cpu_watch.seconds();
   best.checkpoint.meta.fmax_mhz = best.timing.fmax_mhz;
   best.checkpoint.meta.critical_path_ns = best.timing.critical_path_ns;
   best.checkpoint.meta.implement_seconds = best.seconds;

@@ -35,9 +35,8 @@ struct OocResult {
   Checkpoint checkpoint;
   TimingResult timing;
   RouteResult route;
-  double seconds = 0.0;      // function-optimization wall time
-  double cpu_seconds = 0.0;  // process CPU time over the same span
-  int strategy = 0;          // winning exploration strategy index
+  double seconds = 0.0;  // function-optimization wall time
+  int strategy = 0;      // winning exploration strategy index
   FindingsReport lint{"lint"};  // empty unless OocOptions::lint
 };
 

@@ -17,7 +17,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
       graph.output_node >= 0 ? graph.output_node : static_cast<int>(graph.nodes.size()) - 1;
   PreImplReport report;
   Stopwatch total;
-  CpuStopwatch total_cpu;
 
   const GateSubject gate{"preimpl", device, out.netlist, out.phys, out.instances,
                          opt.route.channel_capacity, opt.seed};
@@ -37,11 +36,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
       report.slowest_component = node->netlist.name();
     }
   }
-  for (const StreamEdge& e : graph.edges) {
-    composer.connect(e.from, e.to, e.to_port, e.from_port);
-  }
-  composer.expose_input(graph.input_node);
-  composer.expose_output(output_node);
+  composer.stitch(graph.edges, graph.input_node, output_node);
   out = std::move(composer).finish();
   report.stitch_seconds = stage.seconds();
   run_gate(gate, kDrcStructural, "compose", report.drc_compose, report);
@@ -83,7 +78,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
 
   report.stats = out.netlist.stats();
   report.total_seconds = total.seconds();
-  report.total_cpu_seconds = total_cpu.seconds();
   LOG_DEBUG("preimpl '%s': %s, %.2fs online (stitch %.0f%%, place %.2f, route %.2f)",
             out.netlist.name().c_str(), report.timing.summary().c_str(),
             report.total_seconds, report.stitch_fraction() * 100.0, report.place_seconds,

@@ -35,8 +35,7 @@ struct PreImplReport : GateReport {
   double place_seconds = 0.0;   // component relocation placement
   double route_seconds = 0.0;   // inter-component routing
   double sta_seconds = 0.0;
-  double total_seconds = 0.0;      // wall time of the online stage
-  double total_cpu_seconds = 0.0;  // process CPU time over the same span
+  double total_seconds = 0.0;  // wall time of the online stage
   // Offline function-optimization time recorded in the checkpoints used
   // (performed exactly once per unique component; reported separately).
   double function_opt_seconds = 0.0;

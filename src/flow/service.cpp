@@ -98,7 +98,6 @@ CompileService::SessionResult CompileService::compile(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     by_key[requests[i].key] = found[i].checkpoint.get();
   }
-  Stopwatch flow_watch;
   session.report = run_preimpl_cnn(
       device_, model, impl, groups,
       [&by_key](const std::string& key) -> const Checkpoint* {
@@ -106,8 +105,6 @@ CompileService::SessionResult CompileService::compile(
         return it == by_key.end() ? nullptr : it->second;
       },
       session.design, opt, seed_base);
-  session.flow_seconds = flow_watch.seconds();
-  session.wall_seconds = wall.seconds();
 
   sessions_.fetch_add(1, std::memory_order_relaxed);
   resolved_.fetch_add(session.components, std::memory_order_relaxed);
@@ -117,7 +114,7 @@ CompileService::SessionResult CompileService::compile(
   LOG_DEBUG("compile session '%s': %zu components (%zu hit, %zu built, %zu waited), "
             "%.3fs ensure + %.3fs flow",
             model.name().c_str(), session.components, session.store_hits, session.built,
-            session.dedup_waits, session.ensure_seconds, session.flow_seconds);
+            session.dedup_waits, session.ensure_seconds, session.report.total_seconds);
   return session;
 }
 

@@ -52,8 +52,6 @@ class CompileService {
     std::size_t built = 0;        // built (and persisted) by this session
     std::size_t dedup_waits = 0;  // waited on another session's build
     double ensure_seconds = 0.0;  // component resolution incl. builds
-    double flow_seconds = 0.0;    // stitch + place + route + STA
-    double wall_seconds = 0.0;
   };
 
   /// One compile session: resolves every component the grouping needs

@@ -72,11 +72,6 @@ CheckpointStore::CheckpointStore(StoreOptions opt)
     : dir_(opt.dir),
       cache_budget_(resolve_cache_bytes(opt.cache_bytes)),
       lint_(opt.lint) {
-  const std::size_t shard_count = opt.shards > 0 ? opt.shards : 1;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (dir_.empty()) return;
 
   fs::create_directories(dir_);
@@ -128,54 +123,46 @@ std::string CheckpointStore::entry_path(const Hash128& hash) const {
   return dir_ + "/" + hash.hex() + ".fdcp";
 }
 
-CheckpointStore::Shard& CheckpointStore::shard_for(const Hash128& hash) const {
-  return *shards_[static_cast<std::size_t>(hash.lo % shards_.size())];
-}
-
 std::shared_ptr<const Checkpoint> CheckpointStore::cache_find(const Hash128& hash) {
-  Shard& shard = shard_for(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(hash);
-  if (it == shard.map.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  const auto it = cached_.find(hash);
+  if (it == cached_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);  // touch
   return it->second->checkpoint;
 }
 
 std::shared_ptr<const Checkpoint> CheckpointStore::cache_insert(
     const Hash128& hash, std::shared_ptr<const Checkpoint> cp) {
-  Shard& shard = shard_for(hash);
   const std::size_t bytes = approx_checkpoint_bytes(*cp);
-  const std::size_t budget = cache_budget_ / shards_.size();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(hash);
-  if (it != shard.map.end()) {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  const auto it = cached_.find(hash);
+  if (it != cached_.end()) {
     // A racing loader got here first; keep its entry (the bytes are
     // identical by the determinism contract).
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->checkpoint;
   }
-  shard.lru.push_front(CacheEntry{hash, std::move(cp), bytes});
-  shard.map[hash] = shard.lru.begin();
-  shard.bytes += bytes;
-  // Evict from the cold end until the shard is back under budget; the
+  lru_.push_front(CacheEntry{hash, std::move(cp), bytes});
+  cached_[hash] = lru_.begin();
+  cache_bytes_ += bytes;
+  // Evict from the cold end until the cache is back under budget; the
   // entry just inserted is always retained so an oversized checkpoint
   // still caches (once).
-  while (shard.bytes > budget && shard.lru.size() > 1) {
-    const CacheEntry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.map.erase(victim.hash);
-    shard.lru.pop_back();
+  while (cache_bytes_ > cache_budget_ && lru_.size() > 1) {
+    const CacheEntry& victim = lru_.back();
+    cache_bytes_ -= victim.bytes;
+    cached_.erase(victim.hash);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  return shard.lru.front().checkpoint;
+  return lru_.front().checkpoint;
 }
 
 bool CheckpointStore::contains(const std::string& key, const Device& device) const {
   const Hash128 hash = content_hash(key, fabric_signature(device));
   {
-    Shard& shard = shard_for(hash);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.count(hash) != 0) return true;
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (cached_.count(hash) != 0) return true;
   }
   return indexed(hash);
 }
@@ -342,14 +329,13 @@ std::size_t CheckpointStore::remove_unreferenced(const std::vector<Hash128>& kee
     }
     std::error_code ec;
     fs::remove(it->second.path, ec);
-    Shard& shard = shard_for(it->first);
     {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto cached = shard.map.find(it->first);
-      if (cached != shard.map.end()) {
-        shard.bytes -= cached->second->bytes;
-        shard.lru.erase(cached->second);
-        shard.map.erase(cached);
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      const auto cached = cached_.find(it->first);
+      if (cached != cached_.end()) {
+        cache_bytes_ -= cached->second->bytes;
+        lru_.erase(cached->second);
+        cached_.erase(cached);
       }
     }
     it = index_.erase(it);
@@ -376,10 +362,10 @@ StoreStats CheckpointStore::stats() const {
   s.disk_loads = disk_loads_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.puts = puts_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    s.cache_entries += shard->lru.size();
-    s.cache_bytes += shard->bytes;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    s.cache_entries = lru_.size();
+    s.cache_bytes = cache_bytes_;
   }
   std::lock_guard<std::mutex> lock(index_mutex_);
   s.entries = index_.size();

@@ -3,7 +3,7 @@
 // cross-process artifact. Entries are keyed by a 128-bit content hash of
 // (component signature, fabric signature); the on-disk layout is an
 // append-friendly index file plus one immutable `.fdcp` per entry, written
-// atomically (temp file + rename). An in-memory sharded LRU cache with a
+// atomically (temp file + rename). An in-memory LRU cache with a
 // configurable byte budget makes repeated gets cheap: a checkpoint is
 // deserialized — and DRC/lint-gated — at most once per process while it
 // stays resident.
@@ -37,11 +37,9 @@ struct StoreOptions {
   /// variable overrides this; fpgadb reads FPGASIM_STORE_DIR itself.
   std::string dir;
   /// In-memory cache byte budget. 0 selects FPGASIM_STORE_CACHE_BYTES
-  /// (bytes) when set, else 256 MiB. The budget is split evenly across
-  /// the shards; a shard always retains at least its most recent entry.
+  /// (bytes) when set, else 256 MiB. The cache always retains at least
+  /// its most recent entry.
   std::size_t cache_bytes = 0;
-  /// Cache shard count (each shard has its own mutex + LRU list).
-  std::size_t shards = 8;
   /// Opt-in fpgalint gate on disk loads (the DRC gate always runs).
   bool lint = false;
 };
@@ -123,7 +121,7 @@ class CheckpointStore {
   };
 
   /// The claim ladder, cache -> disk -> build. A cache hit takes only the
-  /// shard lock. A disk entry is deserialized, DRC gated (plus fpgalint
+  /// cache lock. A disk entry is deserialized, DRC gated (plus fpgalint
   /// when StoreOptions::lint) and cached once per residency; concurrent
   /// callers wait for that load. Without `claim`, an absent entry or one
   /// being built resolves to nothing. Throws when an entry fails to load.
@@ -161,14 +159,7 @@ class CheckpointStore {
     std::shared_ptr<const Checkpoint> checkpoint;
     std::size_t bytes = 0;
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<CacheEntry> lru;  // front = most recently used
-    std::map<Hash128, std::list<CacheEntry>::iterator> map;
-    std::size_t bytes = 0;
-  };
 
-  Shard& shard_for(const Hash128& hash) const;
   std::shared_ptr<const Checkpoint> cache_find(const Hash128& hash);
   std::shared_ptr<const Checkpoint> cache_insert(const Hash128& hash,
                                                  std::shared_ptr<const Checkpoint> cp);
@@ -194,7 +185,11 @@ class CheckpointStore {
   std::mutex inflight_mutex_;
   std::map<Hash128, InFlight> inflight_;
 
-  mutable std::vector<std::unique_ptr<Shard>> shards_;
+  // The LRU cache. Lock order: inflight_mutex_, index_mutex_, cache_mutex_.
+  mutable std::mutex cache_mutex_;
+  std::list<CacheEntry> lru_;  // front = most recently used
+  std::map<Hash128, std::list<CacheEntry>::iterator> cached_;
+  std::size_t cache_bytes_ = 0;
 
   std::atomic<std::uint64_t> hits_{0}, misses_{0}, disk_loads_{0}, evictions_{0}, puts_{0};
   std::atomic<std::uint64_t> tmp_counter_{0};

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "cnn/zoo.h"
 #include "drc/drc.h"
 #include "flow/build.h"
 #include "flow/compose.h"
+#include "flow/preimpl.h"
+#include "flow/service.h"
 #include "route/router.h"
 #include "sim/simulator.h"
 #include "stream_harness.h"
@@ -139,6 +142,23 @@ TEST(StitchGraph, ForkedDiamondSimulatesBitExact) {
   expect_tensor_eq(out, expected);
 }
 
+TEST(StitchGraph, RefusesImplicitStreamFanOut) {
+  // One output stream wired to two consumers: the producer's single
+  // out_ready can follow only one of them, so the second consumer's
+  // in_ready would be silently ignored. The stitch must refuse and point
+  // at the fork component instead.
+  const Netlist src = make_relu_component("src");
+  const Netlist left = make_relu_component("l");
+  const Netlist right = make_relu_component("r");
+  const std::vector<StreamEdge> edges = {{0, 1, 0, 0}, {0, 2, 0, 0}};
+  try {
+    stitch_graph({&src, &left, &right}, edges, 0, 1, "fanout");
+    FAIL() << "expected implicit fan-out to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("make_stream_fork"), std::string::npos) << e.what();
+  }
+}
+
 TEST(StitchChain, FunctionallyEquivalentToSeparateComponents) {
   // conv -> pool stitched into one netlist must equal running the golden
   // layers in sequence.
@@ -250,9 +270,9 @@ TEST(Composer, MacroItemsMirrorFootprints) {
   EXPECT_EQ(items[0].footprint, a.pblock);
 }
 
-TEST(Composer, FinishRunsStructuralDrcGate) {
+TEST(PreImplFlow, ComposeGateCatchesBrokenDriverPin) {
   // A checkpoint whose netlist records an inconsistent driver pin must be
-  // caught by the compose-stage DRC gate inside finish().
+  // caught by the flow's compose gate, before placement sees it.
   Checkpoint broken = make_fake_checkpoint("bad", 4);
   for (NetId n = 0; n < broken.netlist.net_count(); ++n) {
     if (broken.netlist.net(n).driver != kInvalidCell) {
@@ -260,9 +280,17 @@ TEST(Composer, FinishRunsStructuralDrcGate) {
       break;
     }
   }
-  Composer composer("top");
-  composer.add_instance(broken, "bad0");
-  EXPECT_THROW(std::move(composer).finish(), std::runtime_error);
+  ComponentGraph graph;
+  graph.nodes = {&broken};
+  ComposedDesign design;
+  try {
+    run_preimpl_flow(make_xcku5p_sim(), graph, design);
+    FAIL() << "expected the compose gate to throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("preimpl after compose"), std::string::npos) << what;
+    EXPECT_NE(what.find("net-driver"), std::string::npos) << what;
+  }
 }
 
 TEST(Composer, FinishedDesignPassesStructuralDrc) {
@@ -346,6 +374,31 @@ pool p1 k=2 relu
   Simulator sim(flat);
   const auto out = run_stream(sim, input.data, expected.size());
   expect_tensor_eq(out, expected);
+}
+
+TEST(BuildFlat, ZooFlatNetlistsArePinned) {
+  // The monolithic flow's input for every zoo model, built with the zoo's
+  // dispatch configuration. The fingerprint hashes the serialized netlist
+  // (physical state empty), so a change to synthesis or stitching moves it.
+  const std::vector<std::pair<const char*, const char*>> pinned{
+      {"lenet", "b25082d2d237109c7711e8110364463e"},
+      {"resblock", "90302ff0380613af1cb357463e2e22dc"},
+      {"vgg16", "51de8d4b7e067941f8399969f050715a"},
+      {"mobilenet", "a5821c8faf166d0c9cedbabc80ddc49d"},
+      {"resnet18", "a6aa563bfcd928359a491cf97a11c1bc"},
+      {"unet", "f7b390c0d49ae57b75b8e8ffe20132e6"},
+      {"inception", "f2a8ce3e4c0ad3c08f274aee1baf2c9e"},
+  };
+  ASSERT_EQ(model_zoo().size(), pinned.size());
+  for (const auto& [name, fingerprint] : pinned) {
+    const ZooEntry* entry = find_zoo_model(name);
+    ASSERT_NE(entry, nullptr) << name;
+    const CnnModel model = entry->make();
+    const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
+    ComposedDesign flat;
+    flat.netlist = build_flat_netlist(model, impl, default_grouping(model));
+    EXPECT_EQ(design_fingerprint(flat), fingerprint) << name;
+  }
 }
 
 }  // namespace

@@ -146,11 +146,8 @@ TEST(RouteDeterminism, LenetPreImplRoutingIsByteIdenticalAcrossWidths) {
   for (std::size_t i = 0; i < chain.size(); ++i) {
     composer.add_instance(*chain[i], "inst" + std::to_string(i));
   }
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    composer.connect(static_cast<int>(i), static_cast<int>(i + 1));
-  }
-  composer.expose_input(0);
-  composer.expose_output(static_cast<int>(chain.size()) - 1);
+  const int n = static_cast<int>(chain.size());
+  composer.stitch(chain_edges(n), 0, n - 1);
   ComposedDesign composed = std::move(composer).finish();
   const MacroPlaceResult macro =
       place_macros(device, composed.macro_items(), composed.macro_nets, MacroPlaceOptions{});

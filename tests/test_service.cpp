@@ -147,7 +147,6 @@ TEST(CheckpointStore, EvictsToByteBudgetAndReloadsFromDisk) {
   StoreOptions opt;
   opt.dir = dir;
   opt.cache_bytes = 1;  // every insert evicts the previous entry
-  opt.shards = 1;       // one LRU, so the eviction order is deterministic
   CheckpointStore store(opt);
   const auto requests = component_requests(fixture.chain.model, fixture.chain.impl,
                                            fixture.chain.groups);

@@ -454,9 +454,10 @@ TEST(CompiledSim, Vgg16BothFlowsMatchInterpreter) {
 }
 
 TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
-  // Every zoo model composed exactly as `fpgaserve --model` composes it,
-  // served through the inference engine with default options over two
-  // contexts. The fingerprint folds every output frame and the end-of-batch
+  // Every zoo model composed exactly as `fpgaserve --model` composes it
+  // (the composed design's fingerprint is pinned too), served through the
+  // inference engine with default options over two contexts. The
+  // fingerprint folds every output frame and the end-of-batch
   // state digest of all four 2048-vector batches, so any change to what the
   // compiled engine computes — including what reset() leaves behind between
   // batches — moves it. The plan's schedule shape (levels, settle ops,
@@ -466,27 +467,37 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
     const char* name;
     std::uint64_t fingerprint;
     std::size_t levels, comb_ops, seq_ops;
+    const char* design;  // design_fingerprint of the composed design
   };
   const std::vector<Pin> pinned{
-      {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265},
-      {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224},
-      {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286},
-      {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307},
-      {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395},
-      {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255},
-      {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446},
+      {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265,
+       "b70d6907ac1d3ecb449fe6292f142d7c"},
+      {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224,
+       "64f46cbc6bfc131507aaacb901c48027"},
+      {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286,
+       "7badbfb06742bd9a66891225c8d647c1"},
+      {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307,
+       "2043a0a0836a19d1316b1cf1adcfa144"},
+      {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395,
+       "59697537d422854611df63cf2398e140"},
+      {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255,
+       "5d29b3fc51bd44e578119dd97f598397"},
+      {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446,
+       "52a61dabddf97c55640d172e32f34329"},
   };
   ASSERT_EQ(model_zoo().size(), pinned.size());
   const Device device = make_xcku5p_sim();
-  for (const auto& [name, fingerprint, levels, comb_ops, seq_ops] : pinned) {
+  for (const auto& [name, fingerprint, levels, comb_ops, seq_ops, design] : pinned) {
     const ZooEntry* entry = find_zoo_model(name);
     ASSERT_NE(entry, nullptr) << name;
     const CnnModel model = entry->make();
     const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
     CheckpointStore store;
     CompileService service(device, store);
-    const Netlist netlist =
-        std::move(service.compile(model, impl, default_grouping(model)).design.netlist);
+    CompileService::SessionResult result =
+        service.compile(model, impl, default_grouping(model));
+    EXPECT_EQ(design_fingerprint(result.design), design) << name;
+    const Netlist netlist = std::move(result.design.netlist);
     EngineOptions opt;
     opt.contexts = 2;
     InferenceEngine engine(netlist, opt);

@@ -68,19 +68,28 @@ std::string fork_signature(int branches) {
   return "fork_x" + std::to_string(branches) + "_w" + std::to_string(kDataW);
 }
 
-Netlist build_group_netlist(const CnnModel& model, const ModelImpl& impl,
-                            const std::vector<int>& group, std::uint64_t seed_base) {
-  std::vector<Netlist> stages;
+std::string group_name(const CnnModel& model, const std::vector<int>& group) {
   std::string name;
   for (std::size_t pos = 0; pos < group.size(); ++pos) {
     const Layer& layer = model.layers()[static_cast<std::size_t>(group[pos])];
     if (layer_traits(layer.kind).activation && pos > 0) continue;  // fused into predecessor
-    const bool fuse = fused_relu_follows(model, group, pos);
-    stages.push_back(build_layer(model, impl, group[pos], fuse, seed_base));
     if (!name.empty()) name += "+";
     name += layer.name;
-    if (fuse) name += "_relu";
+    if (fused_relu_follows(model, group, pos)) name += "_relu";
   }
+  return name;
+}
+
+Netlist build_group_netlist(const CnnModel& model, const ModelImpl& impl,
+                            const std::vector<int>& group, std::uint64_t seed_base) {
+  std::vector<Netlist> stages;
+  for (std::size_t pos = 0; pos < group.size(); ++pos) {
+    const Layer& layer = model.layers()[static_cast<std::size_t>(group[pos])];
+    if (layer_traits(layer.kind).activation && pos > 0) continue;  // fused into predecessor
+    stages.push_back(
+        build_layer(model, impl, group[pos], fused_relu_follows(model, group, pos), seed_base));
+  }
+  const std::string name = group_name(model, group);
   if (stages.size() == 1) {
     stages[0].set_name(name);
     return std::move(stages[0]);

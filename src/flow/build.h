@@ -39,6 +39,11 @@ ComponentDfg expand_group_graph(const GroupGraph& graph);
 /// weight-independent, so all designs share them).
 std::string fork_signature(int branches);
 
+/// Name of a component group: its layer names joined by "+", each with
+/// "_relu" when a ReLU is fused into it. Layer names are unique within a
+/// model, so this also names the group's instance in a composed design.
+std::string group_name(const CnnModel& model, const std::vector<int>& group);
+
 /// Synthesizes the netlist of one component group (conv/pool/fc layers,
 /// relus fused). Weight seeds follow reference_inference so functional
 /// simulation of the composed accelerator matches the golden model.

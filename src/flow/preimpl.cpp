@@ -26,14 +26,15 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   Composer composer("preimpl_top");
   for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
     const Checkpoint* node = graph.nodes[i];
-    composer.add_instance(*node,
-                          i < graph.names.size() ? graph.names[i] : "inst" + std::to_string(i));
+    const std::string name =
+        i < graph.names.size() ? graph.names[i] : "inst" + std::to_string(i);
+    composer.add_instance(*node, name);
     report.function_opt_seconds += node->meta.implement_seconds;
     if (node->meta.fmax_mhz > 0.0 &&
         (report.slowest_component_mhz == 0.0 ||
          node->meta.fmax_mhz < report.slowest_component_mhz)) {
       report.slowest_component_mhz = node->meta.fmax_mhz;
-      report.slowest_component = node->netlist.name();
+      report.slowest_component = name;
     }
   }
   composer.stitch(graph.edges, graph.input_node, output_node);
@@ -118,7 +119,9 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
                                  "' (resolve components with CompileService::compile)");
       }
       graph.nodes.push_back(checkpoint);
-      graph.names.push_back(checkpoint->netlist.name());
+      // Deduplicated groups share a checkpoint (and its netlist name), so
+      // the instance takes its own group's name.
+      graph.names.push_back(group_name(model, group));
     } else {
       const std::string key = fork_signature(node.branches);
       const Checkpoint* checkpoint = lookup(key);

@@ -51,7 +51,7 @@ struct PreImplReport : GateReport {
   FindingsReport drc{"DRC"};          // full check, after inter-component routing
 
   double slowest_component_mhz = 0.0;
-  std::string slowest_component;
+  std::string slowest_component;  // its instance name
 
   /// The paper's observation: stitching is a small share of the flow.
   double stitch_fraction() const {

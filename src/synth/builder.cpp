@@ -233,6 +233,24 @@ NetId NetlistBuilder::ff(NetId d, NetId ce, std::uint16_t width, std::string nam
   return out;
 }
 
+NetlistBuilder::Reg NetlistBuilder::reg(std::uint16_t width, std::string name,
+                                        std::string net_name) {
+  Cell cell;
+  cell.type = CellType::kFf;
+  cell.width = width;
+  cell.name = std::move(name);
+  Reg r;
+  r.cell = netlist_.add_cell(std::move(cell));
+  r.q = new_net(width, std::move(net_name));
+  netlist_.connect_output(r.cell, 0, r.q);
+  return r;
+}
+
+void NetlistBuilder::drive(const Reg& r, NetId d, NetId ce) {
+  netlist_.connect_input(r.cell, 0, d);
+  if (ce != kInvalidNet) netlist_.connect_input(r.cell, 1, ce);
+}
+
 NetId NetlistBuilder::delay(NetId d, int n, std::uint16_t width) {
   for (int i = 0; i < n; ++i) d = ff(d, kInvalidNet, width);
   return d;
@@ -278,38 +296,21 @@ NetlistBuilder::Counter NetlistBuilder::counter(std::uint32_t modulus, NetId ena
     return Counter{zero(width), enable};
   }
   // value FF; next = wrap ? 0 : value + 1, loaded when enable.
-  Cell reg;
-  reg.type = CellType::kFf;
-  reg.width = width;
-  reg.name = name.empty() ? std::string("ctr") : name;
-  const CellId reg_id = netlist_.add_cell(std::move(reg));
-  const NetId value = new_net(width, std::move(name));
-  netlist_.connect_output(reg_id, 0, value);
-
-  const NetId at_top = eq(value, constant(modulus - 1, width));
+  const Reg value = reg(width, name.empty() ? std::string("ctr") : name, name);
+  const NetId at_top = eq(value.q, constant(modulus - 1, width));
   const NetId wrap = and2(at_top, enable);
-  const NetId incremented = add(value, constant(1, width), width);
-  const NetId next = mux2(incremented, zero(width), at_top, width);
-  netlist_.connect_input(reg_id, 0, next);
-  netlist_.connect_input(reg_id, 1, enable);
-  return Counter{value, wrap};
+  const NetId incremented = add(value.q, constant(1, width), width);
+  drive(value, mux2(incremented, zero(width), at_top, width), enable);
+  return Counter{value.q, wrap};
 }
 
 NetId NetlistBuilder::accum(NetId step, NetId enable, NetId clear, std::uint16_t width,
                             std::string name) {
-  Cell reg;
-  reg.type = CellType::kFf;
-  reg.width = width;
-  reg.name = std::move(name);
-  const CellId reg_id = netlist_.add_cell(std::move(reg));
-  const NetId value = new_net(width);
-  netlist_.connect_output(reg_id, 0, value);
-
-  const NetId sum = add(value, step, width);
+  const Reg value = reg(width, std::move(name));
+  const NetId sum = add(value.q, step, width);
   const NetId next = mux2(sum, zero(width), clear, width);
-  netlist_.connect_input(reg_id, 0, next);
-  netlist_.connect_input(reg_id, 1, or2(enable, clear));
-  return value;
+  drive(value, next, or2(enable, clear));
+  return value.q;
 }
 
 }  // namespace fpgasim

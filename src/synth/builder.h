@@ -72,6 +72,16 @@ class NetlistBuilder {
   NetId delay(NetId d, int n, std::uint16_t width);
   NetId srl(NetId d, NetId ce, std::uint16_t depth, std::uint16_t width);
 
+  /// Feedback register: declared before the logic that feeds it (state
+  /// registers, accumulators, done latches). reg() creates the cell and its
+  /// q net; drive() connects d and the clock enable once they exist.
+  struct Reg {
+    CellId cell = kInvalidCell;
+    NetId q = kInvalidNet;
+  };
+  Reg reg(std::uint16_t width, std::string name, std::string net_name = {});
+  void drive(const Reg& r, NetId d, NetId ce);
+
   /// Synchronous-read memory. Pass kInvalidNet for wdata/we to build a ROM.
   /// When raddr is given the BRAM is dual-port: reads use raddr, writes
   /// use addr; otherwise both share addr.

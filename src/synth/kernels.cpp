@@ -38,15 +38,10 @@ Netlist make_pe_block(const std::string& name, int n_in,
   const NetId out_ready = b.in_port("out_ready", 1);
 
   // 2-bit FSM: 0 = LOAD, 1 = COMPUTE (single cycle), 2 = DRAIN.
-  Cell st_cell;
-  st_cell.type = CellType::kFf;
-  st_cell.width = 2;
-  const CellId st_reg = b.netlist().add_cell(std::move(st_cell));
-  const NetId state = b.netlist().add_net(2, "state");
-  b.netlist().connect_output(st_reg, 0, state);
-  const NetId is_load = b.eq(state, b.constant(0, 2));
-  const NetId is_compute = b.eq(state, b.constant(1, 2));
-  const NetId is_drain = b.eq(state, b.constant(2, 2));
+  const NetlistBuilder::Reg state = b.reg(2, {}, "state");
+  const NetId is_load = b.eq(state.q, b.constant(0, 2));
+  const NetId is_compute = b.eq(state.q, b.constant(1, 2));
+  const NetId is_drain = b.eq(state.q, b.constant(2, 2));
 
   // LOAD: register file.
   const NetId wr = b.and2(is_load, in_valid);
@@ -70,12 +65,11 @@ Netlist make_pe_block(const std::string& name, int n_in,
       b.counter(static_cast<std::uint32_t>(results.size()), streaming, 8, "dcnt");
   const NetId out_data = b.muxn(results, dcnt.value, kDataW);
 
-  NetId next_state = state;
+  NetId next_state = state.q;
   next_state = b.mux2(next_state, b.constant(1, 2), b.and2(is_load, lcnt.wrap), 2);
   next_state = b.mux2(next_state, b.constant(2, 2), is_compute, 2);
   next_state = b.mux2(next_state, b.constant(0, 2), b.and2(is_drain, dcnt.wrap), 2);
-  b.netlist().connect_input(st_reg, 0, next_state);
-  b.netlist().connect_input(st_reg, 1, b.one());
+  b.drive(state, next_state, b.one());
 
   b.out_port("in_ready", is_load);
   b.out_port("out_data", out_data);

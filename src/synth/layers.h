@@ -13,6 +13,8 @@
 //   out_data[16] out_valid[1] -> downstream; downstream -> out_ready[1]
 //
 // Pipeline behaviour is image-granular: LOAD -> COMPUTE -> DRAIN -> LOAD.
+// The memory-based engines share one controller skeleton (StreamLayer in
+// layers.cpp); each supplies only its datapath and its done signals.
 #pragma once
 
 #include <cstdint>
@@ -156,10 +158,6 @@ Netlist make_stream_fifo(const std::string& name, int depth, int width = kDataW)
 /// Input streamer: plays a fixed image (channel-major) out of ROM whenever
 /// downstream is ready; models the top-level MMU source.
 Netlist make_input_streamer(const std::string& name, const std::vector<Fixed16>& image);
-
-/// Memory-management unit: double-buffered BRAM staging between off-chip
-/// style bursts and the stream fabric (used by the VGG example).
-Netlist make_mmu_component(const std::string& name, int buffer_words);
 
 // -- branching-DFG components -----------------------------------------------
 

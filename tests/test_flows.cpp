@@ -3,6 +3,8 @@
 // the simulated substrate and that composition preserves functionality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/service.h"
@@ -103,12 +105,21 @@ TEST(Flows, LockedComponentRoutesSurviveComposition) {
 TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
   MiniFlow f;
   // Time the online flow against a filled store, not right after the cold
-  // builds, as a deployed flow would run.
-  const PreImplReport pre = f.compile().report;
-
-  Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
-  PhysState phys;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys);
+  // builds, as a deployed flow would run. Each side's time is the minimum
+  // of 3 runs, alternating the two flows, so a burst of host load during
+  // one run cannot decide the comparison.
+  PreImplReport pre;
+  MonoReport mono;
+  double pre_seconds = 0.0;
+  double mono_seconds = 0.0;
+  for (int run = 0; run < 3; ++run) {
+    pre = f.compile().report;
+    Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
+    PhysState phys;
+    mono = run_monolithic_flow(f.device, flat, phys);
+    pre_seconds = run == 0 ? pre.total_seconds : std::min(pre_seconds, pre.total_seconds);
+    mono_seconds = run == 0 ? mono.total_seconds : std::min(mono_seconds, mono.total_seconds);
+  }
 
   EXPECT_TRUE(mono.route.success);
   EXPECT_GT(mono.timing.fmax_mhz, 0.0);
@@ -117,7 +128,7 @@ TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
   EXPECT_GT(pre.timing.fmax_mhz, mono.timing.fmax_mhz);
   // (2) productivity: the online architecture-optimization stage is much
   //     faster than the monolithic implementation,
-  EXPECT_LT(pre.total_seconds, mono.total_seconds);
+  EXPECT_LT(pre_seconds, mono_seconds);
   // (3) resources: phys-opt register insertion/replication can only grow
   //     the classic flow's footprint.
   EXPECT_GE(mono.stats.resources.ff, pre.stats.resources.ff);
@@ -201,10 +212,16 @@ fc f2 out=8
 
 TEST(Flows, StitchIsSmallShareOfArchitectureOptimization) {
   MiniFlow f;
-  const PreImplReport& report = f.first.report;
   // Paper: stitching is 5-9% of the flow; allow a loose upper bound here.
-  EXPECT_LT(report.stitch_fraction(), 0.6);
-  EXPECT_GT(report.function_opt_seconds, 0.0);
+  // The share is read from the fastest of 3 warm compiles, so a burst of
+  // host load during one run cannot decide it.
+  PreImplReport fastest = f.compile().report;
+  for (int run = 1; run < 3; ++run) {
+    PreImplReport report = f.compile().report;
+    if (report.total_seconds < fastest.total_seconds) fastest = std::move(report);
+  }
+  EXPECT_LT(fastest.stitch_fraction(), 0.6);
+  EXPECT_GT(f.first.report.function_opt_seconds, 0.0);
 }
 
 TEST(Flows, PreImplLeNetFinishesDrcClean) {

@@ -5,6 +5,7 @@
 // LeNet / VGG-16 / resblock designs through both flows.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -462,52 +463,72 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
   // compiled engine computes — including what reset() leaves behind between
   // batches — moves it. The plan's schedule shape (levels, settle ops,
   // clocked ops) is pinned alongside, so a levelizer change shows up even
-  // where it would leave the outputs alone.
+  // where it would leave the outputs alone. The composed design's QoR
+  // (Fmax, slowest component, resources) is pinned per model as well, and
+  // every instance must have its own name.
   struct Pin {
     const char* name;
     std::uint64_t fingerprint;
     std::size_t levels, comb_ops, seq_ops;
-    const char* design;  // design_fingerprint of the composed design
+    const char* design;            // design_fingerprint of the composed design
+    double fmax_mhz, slowest_mhz;  // composed Fmax, and its slowest component's
+    const char* slowest;           // instance name of the slowest component
+    std::int64_t lut, ff, dsp, bram;
   };
   const std::vector<Pin> pinned{
-      {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265,
-       "b70d6907ac1d3ecb449fe6292f142d7c"},
-      {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224,
-       "64f46cbc6bfc131507aaacb901c48027"},
-      {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286,
-       "7badbfb06742bd9a66891225c8d647c1"},
-      {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307,
-       "2043a0a0836a19d1316b1cf1adcfa144"},
-      {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395,
-       "59697537d422854611df63cf2398e140"},
-      {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255,
-       "5d29b3fc51bd44e578119dd97f598397"},
-      {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446,
-       "52a61dabddf97c55640d172e32f34329"},
+      {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265, "b70d6907ac1d3ecb449fe6292f142d7c",
+       163.8433, 163.8433, "conv2", 6352, 1278, 40, 101},
+      {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224, "64f46cbc6bfc131507aaacb901c48027",
+       236.4615, 253.2997, "p1", 4489, 1173, 29, 64},
+      {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286, "7badbfb06742bd9a66891225c8d647c1",
+       68.0475, 103.4405, "conv4_2", 32755, 5053, 272, 1119},
+      {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307, "2043a0a0836a19d1316b1cf1adcfa144",
+       129.6278, 129.6278, "gap", 6973, 1591, 47, 90},
+      {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395, "59697537d422854611df63cf2398e140",
+       135.8208, 135.8208, "gap", 8598, 1980, 57, 116},
+      {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255, "5d29b3fc51bd44e578119dd97f598397",
+       151.9888, 180.0742, "d1", 5536, 1306, 36, 75},
+      {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446, "52a61dabddf97c55640d172e32f34329",
+       112.8898, 112.8898, "gap", 11413, 2405, 56, 118},
   };
   ASSERT_EQ(model_zoo().size(), pinned.size());
   const Device device = make_xcku5p_sim();
-  for (const auto& [name, fingerprint, levels, comb_ops, seq_ops, design] : pinned) {
-    const ZooEntry* entry = find_zoo_model(name);
-    ASSERT_NE(entry, nullptr) << name;
+  for (const Pin& pin : pinned) {
+    const ZooEntry* entry = find_zoo_model(pin.name);
+    ASSERT_NE(entry, nullptr) << pin.name;
     const CnnModel model = entry->make();
     const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
     CheckpointStore store;
     CompileService service(device, store);
     CompileService::SessionResult result =
         service.compile(model, impl, default_grouping(model));
-    EXPECT_EQ(design_fingerprint(result.design), design) << name;
+    EXPECT_EQ(design_fingerprint(result.design), pin.design) << pin.name;
+
+    const PreImplReport& report = result.report;
+    EXPECT_NEAR(report.timing.fmax_mhz, pin.fmax_mhz, 1e-3) << pin.name;
+    EXPECT_NEAR(report.slowest_component_mhz, pin.slowest_mhz, 1e-3) << pin.name;
+    EXPECT_EQ(report.slowest_component, pin.slowest) << pin.name;
+    EXPECT_EQ(report.stats.resources.lut, pin.lut) << pin.name;
+    EXPECT_EQ(report.stats.resources.ff, pin.ff) << pin.name;
+    EXPECT_EQ(report.stats.resources.dsp, pin.dsp) << pin.name;
+    EXPECT_EQ(report.stats.resources.bram, pin.bram) << pin.name;
+    std::set<std::string> instance_names;
+    for (const InstanceRange& inst : result.design.instances) {
+      EXPECT_TRUE(instance_names.insert(inst.name).second)
+          << pin.name << ": two instances named '" << inst.name << "'";
+    }
+
     const Netlist netlist = std::move(result.design.netlist);
     EngineOptions opt;
     opt.contexts = 2;
     InferenceEngine engine(netlist, opt);
-    EXPECT_EQ(engine.plan().levels(), levels) << name;
-    EXPECT_EQ(engine.plan().comb_ops(), comb_ops) << name;
-    EXPECT_EQ(engine.plan().seq_ops(), seq_ops) << name;
+    EXPECT_EQ(engine.plan().levels(), pin.levels) << pin.name;
+    EXPECT_EQ(engine.plan().comb_ops(), pin.comb_ops) << pin.name;
+    EXPECT_EQ(engine.plan().seq_ops(), pin.seq_ops) << pin.name;
     const EngineStats stats = engine.serve(8192);
-    EXPECT_TRUE(stats.ok()) << name << ": " << stats.first_failure;
-    EXPECT_EQ(stats.fingerprint(), fingerprint)
-        << name << " fingerprint 0x" << std::hex << stats.fingerprint();
+    EXPECT_TRUE(stats.ok()) << pin.name << ": " << stats.first_failure;
+    EXPECT_EQ(stats.fingerprint(), pin.fingerprint)
+        << pin.name << " fingerprint 0x" << std::hex << stats.fingerprint();
   }
 }
 

@@ -126,9 +126,11 @@ TEST(InputStreamer, LoopsAfterOneImage) {
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(got[i], image[i % 4].raw);
 }
 
+// The MMU's store-and-forward buffer is the upsample engine at factor 1:
+// LOAD a burst into one BRAM, then DRAIN it in order.
 TEST(MmuComponent, BuffersAndForwardsBurst) {
   const int words = 12;
-  const Netlist nl = make_mmu_component("mmu", words);
+  const Netlist nl = make_upsample_component("mmu", 1, 1, words, 1);
   ASSERT_TRUE(nl.validate().empty());
   Simulator sim(nl);
   const auto burst = random_params(static_cast<std::size_t>(words), 14);
@@ -153,7 +155,7 @@ TEST(MmuComponent, BuffersAndForwardsBurst) {
 }
 
 TEST(MmuComponent, NotReadyWhileDraining) {
-  const Netlist nl = make_mmu_component("mmu", 4);
+  const Netlist nl = make_upsample_component("mmu", 1, 1, 4, 1);
   Simulator sim(nl);
   sim.set_input("out_ready", 0);
   sim.set_input("in_valid", 1);

@@ -34,7 +34,7 @@ int main() {
     table.add_row({Table::fmt(slack, 2), result.checkpoint.pblock.to_string(),
                    std::to_string(result.checkpoint.pblock.area()),
                    Table::fmt(result.timing.fmax_mhz, 1), std::to_string(anchors.size()),
-                   Table::fmt(result.seconds, 2)});
+                   Table::fmt(result.checkpoint.meta.implement_seconds, 2)});
   }
   table.print();
   std::puts("expected shape: the smaller the pblock, the more relocation anchors exist");

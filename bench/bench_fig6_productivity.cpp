@@ -49,11 +49,14 @@ RouteSample route_snapshot(const Device& device, const ComposedDesign& snapshot,
   RouteSample sample;
   for (int r = 0; r < repeats; ++r) {
     PhysState phys = snapshot.phys;
-    const RouteResult result = route_design(device, snapshot.netlist, phys, opt);
-    if (result.wall_seconds < sample.best_wall) {
-      sample.best_wall = result.wall_seconds;
-      sample.cpu = result.cpu_seconds;
-      sample.result = result;
+    const Stopwatch wall;
+    const CpuStopwatch cpu;
+    RouteResult result = route_design(device, snapshot.netlist, phys, opt);
+    const double wall_s = wall.seconds(), cpu_s = cpu.seconds();
+    if (wall_s < sample.best_wall) {
+      sample.best_wall = wall_s;
+      sample.cpu = cpu_s;
+      sample.result = std::move(result);
     }
   }
   return sample;

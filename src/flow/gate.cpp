@@ -8,6 +8,11 @@
 #include "util/timer.h"
 
 namespace fpgasim {
+namespace {
+
+constexpr int kCompiledVerifyCycles = 24;
+
+}  // namespace
 
 void run_gate(const GateSubject& subject, unsigned stages, const char* after,
               FindingsReport& drc, GateReport& report, const GateOptions* last) {
@@ -30,11 +35,7 @@ void run_gate(const GateSubject& subject, unsigned stages, const char* after,
     enforce(report.lint, where);
   }
   if (last->compiled_verify) {
-    watch.restart();
-    enforce_compiled_match(subject.netlist, last->compiled_verify_cycles, subject.seed,
-                           subject.flow);
-    report.compiled_verify_seconds = watch.seconds();
-    report.compiled_verify_ok = true;
+    enforce_compiled_match(subject.netlist, kCompiledVerifyCycles, subject.seed, subject.flow);
   }
 }
 

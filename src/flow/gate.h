@@ -21,10 +21,9 @@ struct GateOptions {
   bool lint = false;
   /// Opt-in compiled-verify gate: A/B the final netlist through the
   /// compiled bit-parallel simulator against the interpreter oracle
-  /// (sampled lanes of a 64-wide batch, seeded random stimulus). Throws
-  /// on any bit divergence.
+  /// (sampled lanes of a 64-wide batch, seeded random stimulus, 24
+  /// cycles). Throws on any bit divergence.
   bool compiled_verify = false;
-  int compiled_verify_cycles = 24;
 };
 
 struct GateReport {
@@ -32,10 +31,6 @@ struct GateReport {
   // fpgalint gate result over the final netlist (empty when
   // GateOptions::lint is off).
   FindingsReport lint{"lint"};
-  // Compiled-verify gate (false/0 when GateOptions::compiled_verify is
-  // off; the gate throws on divergence, so a finished flow implies ok).
-  double compiled_verify_seconds = 0.0;
-  bool compiled_verify_ok = false;
 };
 
 /// The design a flow's gates check. Holds references: the gates see the

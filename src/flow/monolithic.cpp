@@ -6,7 +6,6 @@
 
 #include "drc/drc.h"
 #include "place/place.h"
-#include "util/log.h"
 #include "util/timer.h"
 
 namespace fpgasim {
@@ -58,15 +57,12 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   route_opt.seed = opt.seed;
   report.route = route_design(device, netlist, phys, route_opt);
   report.route_seconds = stage.seconds();
-  LOG_DEBUG("monolithic route: %zu nets, %d iterations [%s]", report.route.nets_routed,
-            report.route.iterations, report.route.iteration_summary().c_str());
 
   stage.restart();
   report.timing = run_sta(netlist, phys, device);
   report.sta_seconds = stage.seconds();
 
   if (opt.phys_opt) {
-    stage.restart();
     // Pass 1: register insertion on wire-dominated connections. The
     // threshold keys off the achieved critical path: connections whose
     // wire delay alone eats most of the clock period get a pipeline FF at
@@ -169,7 +165,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
       report.route = route_design(device, netlist, phys, rr);
       report.timing = run_sta(netlist, phys, device);
     }
-    report.phys_opt_seconds = stage.seconds();
   }
 
   run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc, report,
@@ -177,9 +172,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
 
   report.stats = netlist.stats();
   report.total_seconds = total.seconds();
-  LOG_DEBUG("monolithic '%s': %s, %.2fs total (place %.2f route %.2f physopt %.2f)",
-            netlist.name().c_str(), report.timing.summary().c_str(), report.total_seconds,
-            report.place_seconds, report.route_seconds, report.phys_opt_seconds);
   return report;
 }
 

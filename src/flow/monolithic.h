@@ -27,11 +27,10 @@ struct MonoOptions : GateOptions {
   RouteOptions route;
 };
 
-/// GateReport carries drc_seconds and the opt-in gates' results.
+/// GateReport carries drc_seconds and the opt-in lint gate's findings.
 struct MonoReport : GateReport {
   double place_seconds = 0.0;  // clustering + SA placement
   double route_seconds = 0.0;
-  double phys_opt_seconds = 0.0;
   double sta_seconds = 0.0;
   double total_seconds = 0.0;  // wall time
 

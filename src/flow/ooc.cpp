@@ -147,10 +147,9 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
 
   if (opt.lock) netlist.lock_all();
   best.checkpoint.netlist = std::move(netlist);
-  best.seconds = watch.seconds();
   best.checkpoint.meta.fmax_mhz = best.timing.fmax_mhz;
   best.checkpoint.meta.critical_path_ns = best.timing.critical_path_ns;
-  best.checkpoint.meta.implement_seconds = best.seconds;
+  best.checkpoint.meta.implement_seconds = watch.seconds();
   best.checkpoint.meta.strategy = "aspect_" + std::to_string(best.strategy);
   best.checkpoint.meta.device = device.name();
   if (opt.lint) {
@@ -158,9 +157,6 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
     best.lint = lint::run(best.checkpoint.netlist);
     enforce(best.lint, "ooc '" + best.checkpoint.netlist.name() + "'");
   }
-  LOG_DEBUG("ooc '%s': %s in %.2fs (strategy %d, %s)",
-            best.checkpoint.netlist.name().c_str(), best.timing.summary().c_str(),
-            best.seconds, best.strategy, best.checkpoint.pblock.to_string().c_str());
   return best;
 }
 

@@ -35,8 +35,7 @@ struct OocResult {
   Checkpoint checkpoint;
   TimingResult timing;
   RouteResult route;
-  double seconds = 0.0;  // function-optimization wall time
-  int strategy = 0;      // winning exploration strategy index
+  int strategy = 0;  // winning exploration strategy index
   FindingsReport lint{"lint"};  // empty unless OocOptions::lint
 };
 

@@ -5,7 +5,6 @@
 
 #include "drc/drc.h"
 #include "flow/build.h"
-#include "util/log.h"
 #include "util/timer.h"
 
 namespace fpgasim {
@@ -29,7 +28,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     const std::string name =
         i < graph.names.size() ? graph.names[i] : "inst" + std::to_string(i);
     composer.add_instance(*node, name);
-    report.function_opt_seconds += node->meta.implement_seconds;
     if (node->meta.fmax_mhz > 0.0 &&
         (report.slowest_component_mhz == 0.0 ||
          node->meta.fmax_mhz < report.slowest_component_mhz)) {
@@ -55,7 +53,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
                            report.macro.offsets[i].second);
   }
   report.place_seconds = stage.seconds();
-  LOG_DEBUG("preimpl place: %s", report.macro.stats.summary().c_str());
   run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place, report);
 
   // Inter-component routing: only the stitched nets are open; everything
@@ -68,8 +65,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     throw std::runtime_error("pre-implemented flow: routing failed: " + report.route.error);
   }
   report.route_seconds = stage.seconds();
-  LOG_DEBUG("preimpl route: %zu nets, %d iterations [%s]", report.route.nets_routed,
-            report.route.iterations, report.route.iteration_summary().c_str());
   run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc, report,
            &opt);
 
@@ -79,10 +74,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
 
   report.stats = out.netlist.stats();
   report.total_seconds = total.seconds();
-  LOG_DEBUG("preimpl '%s': %s, %.2fs online (stitch %.0f%%, place %.2f, route %.2f)",
-            out.netlist.name().c_str(), report.timing.summary().c_str(),
-            report.total_seconds, report.stitch_fraction() * 100.0, report.place_seconds,
-            report.route_seconds);
   return report;
 }
 

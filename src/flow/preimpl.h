@@ -28,7 +28,7 @@ struct PreImplOptions : GateOptions {
   RouteOptions route;
 };
 
-/// GateReport carries drc_seconds and the opt-in gates' results.
+/// GateReport carries drc_seconds and the opt-in lint gate's findings.
 struct PreImplReport : GateReport {
   // Architecture-optimization stage times (online).
   double stitch_seconds = 0.0;  // extraction + matching + composition
@@ -36,9 +36,6 @@ struct PreImplReport : GateReport {
   double route_seconds = 0.0;   // inter-component routing
   double sta_seconds = 0.0;
   double total_seconds = 0.0;  // wall time of the online stage
-  // Offline function-optimization time recorded in the checkpoints used
-  // (performed exactly once per unique component; reported separately).
-  double function_opt_seconds = 0.0;
 
   NetlistStats stats;
   TimingResult timing;

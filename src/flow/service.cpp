@@ -1,17 +1,11 @@
 #include "flow/service.h"
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "drc/drc.h"
 #include "flow/build.h"
-#include "util/log.h"
 #include "util/timer.h"
 
 namespace fpgasim {
@@ -111,10 +105,6 @@ CompileService::SessionResult CompileService::compile(
   store_hits_.fetch_add(session.store_hits, std::memory_order_relaxed);
   built_.fetch_add(session.built, std::memory_order_relaxed);
   dedup_waits_.fetch_add(session.dedup_waits, std::memory_order_relaxed);
-  LOG_DEBUG("compile session '%s': %zu components (%zu hit, %zu built, %zu waited), "
-            "%.3fs ensure + %.3fs flow",
-            model.name().c_str(), session.components, session.store_hits, session.built,
-            session.dedup_waits, session.ensure_seconds, session.report.total_seconds);
   return session;
 }
 
@@ -129,23 +119,11 @@ CompileService::Stats CompileService::stats() const {
 }
 
 std::string design_fingerprint(const ComposedDesign& design) {
-  // Serialize through the canonical .fdcp writer (a temp file; the format
-  // has no in-memory sink) and hash the bytes.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("fpgasim-fp-" + std::to_string(::getpid()) + "-" +
-        std::to_string(counter.fetch_add(1)) + ".fdcp"))
-          .string();
+  // Hash the canonical .fdcp encoding of the composed design.
   Checkpoint cp;
   cp.netlist = design.netlist;
   cp.phys = design.phys;
-  save_checkpoint(path, cp);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::filesystem::remove(path);
-  return hash128(bytes.str()).hex();
+  return hash128(encode_checkpoint(cp)).hex();
 }
 
 }  // namespace fpgasim

@@ -11,11 +11,10 @@ constexpr std::uint32_t kMagic = 0x46444350;  // "FDCP"
 constexpr std::uint32_t kVersion = 3;         // v3 added partition pins
 constexpr std::uint32_t kMinVersion = 2;      // v2 files (no pin plan) still load
 
+/// Appends the little-endian binary encoding to a string.
 class Writer {
  public:
-  explicit Writer(const std::string& path) : out_(path, std::ios::binary) {
-    if (!out_) throw std::runtime_error("cannot open for write: " + path);
-  }
+  explicit Writer(std::string& out) : out_(out) {}
   void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
   void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
@@ -26,15 +25,12 @@ class Writer {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
   }
-  void check() const {
-    if (!out_) throw std::runtime_error("checkpoint write failed");
-  }
 
  private:
   void raw(const void* data, std::size_t size) {
-    out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
+    out_.append(static_cast<const char*>(data), size);
   }
-  std::ofstream out_;
+  std::string& out_;
 };
 
 /// Bounds-checked reader: never trusts a length field further than the
@@ -95,8 +91,9 @@ class Reader {
 
 }  // namespace
 
-void save_checkpoint(const std::string& path, const Checkpoint& cp) {
-  Writer w(path);
+std::string encode_checkpoint(const Checkpoint& cp) {
+  std::string bytes;
+  Writer w(bytes);
   w.u32(kMagic);
   w.u32(kVersion);
   w.str(cp.netlist.name());
@@ -182,7 +179,15 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
     w.i32(pin.x);
     w.i32(pin.y);
   }
-  w.check();
+  return bytes;
+}
+
+void save_checkpoint(const std::string& path, const Checkpoint& cp) {
+  const std::string bytes = encode_checkpoint(cp);
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open for write: " + path);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("checkpoint write failed");
 }
 
 Checkpoint load_checkpoint(const std::string& path) {

@@ -30,6 +30,9 @@ struct Checkpoint {
   std::vector<TileCoord> port_pins;
 };
 
+/// The `.fdcp` bytes of `checkpoint`: what save_checkpoint writes.
+std::string encode_checkpoint(const Checkpoint& checkpoint);
+
 /// Writes `checkpoint` to `path`. Throws std::runtime_error on IO failure.
 void save_checkpoint(const std::string& path, const Checkpoint& checkpoint);
 

@@ -3,18 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <tuple>
 
 #include "place/macro_cost.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace fpgasim {
 namespace {
+
+// Eq. (1)/(3) weights and the per-start search budgets.
+constexpr double kTimingWeight = 1.0;
+constexpr double kCongestionWeight = 24.0;
+constexpr int kMaxCandidates = 1600;  // anchors evaluated per component
+constexpr int kMaxBacktracks = 96;    // unplace-and-retry budget per start
 
 /// Tile-occupancy bitmap (one bit per tile, 64 columns per word): O(1)-ish
 /// rectangle overlap probes independent of how many components are placed,
@@ -313,7 +316,7 @@ StartOutcome run_start(const StartInputs& in, int start) {
         std::push_heap(frontier.begin(), frontier.end(), frontier_after);
       }
     };
-    const int limit = std::min<int>(static_cast<int>(cand.size()), opt.max_candidates);
+    const int limit = std::min<int>(static_cast<int>(cand.size()), kMaxCandidates);
     std::size_t cursor = 0;  // modes 1/2: next entry of the static order
     auto next = [&]() -> const std::pair<int, int>* {
       if (mode == 0) {
@@ -366,7 +369,7 @@ StartOutcome run_start(const StartInputs& in, int start) {
       kernel.place(i, moved);
       probed = true;
       const MacroCostTotals t = kernel.totals();
-      const double cost = opt.timing_weight * t.timing + opt.congestion_weight * t.congestion;
+      const double cost = kTimingWeight * t.timing + kCongestionWeight * t.congestion;
       if (cost < best.cost) best = Best{cost, t.timing, t.congestion, offset, true};
       if (valid > skip_best + 24) break;  // bounded scan past the cursor
     }
@@ -391,8 +394,8 @@ StartOutcome run_start(const StartInputs& in, int start) {
     const bool ok = place_one(i, anchor_cursor[i], best);
     if (ok) {
       const double gate =
-          opt.timing_weight * best.timing / static_cast<double>(std::max<std::size_t>(1, pos + 1)) +
-          opt.congestion_weight * best.congestion;
+          kTimingWeight * best.timing / static_cast<double>(std::max<std::size_t>(1, pos + 1)) +
+          kCongestionWeight * best.congestion;
       if (gate <= threshold || pos == 0) {
         ++pos;
         continue;
@@ -401,10 +404,10 @@ StartOutcome run_start(const StartInputs& in, int start) {
       kernel.unplace(i);
       occ.fill(out.placed[i], false);
     }
-    if (out.backtracks >= opt.max_backtracks || pos == 0) {
+    if (out.backtracks >= kMaxBacktracks || pos == 0) {
       threshold *= 1.5;  // relax the gate rather than fail outright
       ++out.backtracks;
-      if (out.backtracks > opt.max_backtracks + 16) {
+      if (out.backtracks > kMaxBacktracks + 16) {
         failed = true;
         break;
       }
@@ -467,28 +470,10 @@ bool first_fit_decreasing(const StartInputs& in, MacroPlaceResult& result) {
 
 }  // namespace
 
-std::string PlaceStats::summary() const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "%d starts (winner %d%s), %ld cost evals, %ld nets touched, "
-                "%ld overlap tests, %.3fs wall / %.3fs cpu, backtracks [",
-                starts, winner_start, used_fallback ? ", fallback" : "", cost_evals,
-                nets_touched, overlap_tests, wall_seconds, cpu_seconds);
-  std::string s = buf;
-  for (std::size_t i = 0; i < backtracks_per_start.size(); ++i) {
-    if (i > 0) s += ' ';
-    s += std::to_string(backtracks_per_start[i]);
-  }
-  s += ']';
-  return s;
-}
-
 MacroPlaceResult place_macros(const Device& device, const std::vector<MacroItem>& items,
                               const std::vector<MacroNet>& nets,
                               const MacroPlaceOptions& opt) {
   MacroPlaceResult result;
-  Stopwatch wall;
-  CpuStopwatch cpu;
   const std::size_t n = items.size();
   result.offsets.assign(n, {0, 0});
   result.placed.assign(n, Pblock{});
@@ -552,7 +537,7 @@ MacroPlaceResult place_macros(const Device& device, const std::vector<MacroItem>
 
   // Independent starts in parallel; each outcome is keyed by its index, so
   // every pool width produces the same winner.
-  const int starts = 3 + std::max(0, opt.perturbed_starts);
+  const int starts = 3 + kMacroPerturbedStarts;
   std::vector<StartOutcome> outcomes(static_cast<std::size_t>(starts));
   parallel_for(
       0, static_cast<std::size_t>(starts),
@@ -569,7 +554,7 @@ MacroPlaceResult place_macros(const Device& device, const std::vector<MacroItem>
     result.stats.backtracks_per_start.push_back(out.backtracks);
     if (!out.success) continue;
     const double cost =
-        opt.timing_weight * out.timing + opt.congestion_weight * out.congestion;
+        kTimingWeight * out.timing + kCongestionWeight * out.congestion;
     if (winner < 0 || cost < winner_cost) {
       winner = s;
       winner_cost = cost;
@@ -588,11 +573,7 @@ MacroPlaceResult place_macros(const Device& device, const std::vector<MacroItem>
   } else {
     // Every cost-driven start failed: pure packing fallback.
     for (const StartOutcome& out : outcomes) result.backtracks += out.backtracks;
-    if (!first_fit_decreasing(in, result)) {
-      result.stats.wall_seconds = wall.seconds();
-      result.stats.cpu_seconds = cpu.seconds();
-      return result;
-    }
+    if (!first_fit_decreasing(in, result)) return result;
     const std::vector<bool> all_placed(n, true);
     const MacroCostTotals t = full_macro_costs(device, nets, result.placed, all_placed);
     result.timing_cost = t.timing;
@@ -600,11 +581,7 @@ MacroPlaceResult place_macros(const Device& device, const std::vector<MacroItem>
     result.stats.used_fallback = true;
     result.success = true;
     result.error.clear();
-    LOG_DEBUG("place_macros: fell back to first-fit packing (%d backtracks)",
-              result.backtracks);
   }
-  result.stats.wall_seconds = wall.seconds();
-  result.stats.cpu_seconds = cpu.seconds();
   return result;
 }
 

@@ -40,18 +40,15 @@ struct MacroNet {
   double weight = 1.0;
 };
 
+/// Seed-perturbed BFS starts run in addition to the 3 ranking modes.
+inline constexpr int kMacroPerturbedStarts = 3;
+
 struct MacroPlaceOptions {
   std::uint64_t seed = 1;
-  double timing_weight = 1.0;
-  double congestion_weight = 24.0;
   double accept_threshold = 48.0;  // per-component cost gate (Sec. IV-B4)
-  int max_candidates = 1600;       // anchors evaluated per component
-  int max_backtracks = 96;         // unplace-and-retry budget per start
   /// Incremental cost kernel; false selects the seed full-recompute path
   /// (A/B reference — placements and costs are bit-identical either way).
   bool incremental = true;
-  /// Seed-perturbed BFS starts run in addition to the 3 ranking modes.
-  int perturbed_starts = 3;
   /// Multi-start concurrency (the global pool when null). Any width
   /// yields byte-identical results; width 1 runs the starts serially.
   ThreadPool* pool = nullptr;
@@ -67,11 +64,8 @@ struct PlaceStats {
   int winner_start = -1;   // winning start index (-1: packing fallback)
   bool used_fallback = false;  // first-fit-decreasing produced the result
   std::vector<int> backtracks_per_start;
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
 
-  /// One-line rendering for the flow logs.
-  std::string summary() const;
+  bool operator==(const PlaceStats&) const = default;
 };
 
 struct MacroPlaceResult {
@@ -83,6 +77,8 @@ struct MacroPlaceResult {
   int backtracks = 0;            // backtracks of the winning start
   PlaceStats stats;
   std::string error;
+
+  bool operator==(const MacroPlaceResult&) const = default;
 };
 
 MacroPlaceResult place_macros(const Device& device, const std::vector<MacroItem>& items,

@@ -279,10 +279,6 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
   for (int b = 0; b < num_bins; ++b) penalty += bin_penalty(b);
   result.final_hpwl = hpwl;
   result.final_cost = hpwl + kLambda * penalty;
-  if (penalty > 0.0) {
-    LOG_DEBUG("place_sa: residual overfill penalty %.1f (resolved by tile assignment spill)",
-              penalty);
-  }
   return result;
 }
 

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <utility>
-
-#include "util/log.h"
-#include "util/timer.h"
 
 namespace fpgasim {
 namespace {
@@ -512,24 +508,9 @@ bool route_job(const Graph& graph, const Netlist& netlist, const DelayModel& dm,
 
 }  // namespace
 
-std::string RouteResult::iteration_summary() const {
-  std::string out;
-  char buf[112];
-  for (std::size_t i = 0; i < iteration_stats.size(); ++i) {
-    const RouteIterationStats& s = iteration_stats[i];
-    std::snprintf(buf, sizeof(buf), "%si%zu: %d rerouted/%ld over/%d batches/%.2fms wall/%.2fms cpu",
-                  i == 0 ? "" : "; ", i + 1, s.nets_rerouted, s.overused_edges, s.batches,
-                  s.wall_seconds * 1e3, s.cpu_seconds * 1e3);
-    out += buf;
-  }
-  return out;
-}
-
 RouteResult route_design(const Device& device, const Netlist& netlist, PhysState& phys,
                          const RouteOptions& opt, const DelayModel& dm) {
   RouteResult result;
-  Stopwatch route_wall;
-  CpuStopwatch route_cpu;
   phys.resize_for(netlist);
   Graph graph(device, opt, dm);
   const int w = graph.w, h = graph.h;
@@ -616,8 +597,6 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
 
   // PathFinder negotiation.
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    Stopwatch iter_wall;
-    CpuStopwatch iter_cpu;
     const double pressure = opt.present_factor * (iter + 1);
 
     std::vector<std::size_t> worklist;
@@ -663,8 +642,6 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     }
     if (!error.empty()) {
       result.error = std::move(error);
-      result.wall_seconds = route_wall.seconds();
-      result.cpu_seconds = route_cpu.seconds();
       return result;
     }
 
@@ -706,8 +683,6 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     stats.overused_edges = over_edges;
     stats.max_overuse = max_over;
     stats.batches = static_cast<int>(batches.size());
-    stats.wall_seconds = iter_wall.seconds();
-    stats.cpu_seconds = iter_cpu.seconds();
     result.iteration_stats.push_back(stats);
     result.iterations = iter + 1;
     result.max_overuse = max_over;
@@ -757,12 +732,6 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     phys.routes[jobs[j].net] = std::move(job_routes[j]);
   }
   result.success = true;
-  result.wall_seconds = route_wall.seconds();
-  result.cpu_seconds = route_cpu.seconds();
-  if (result.max_overuse > 0) {
-    LOG_DEBUG("router: residual overuse %d after %d iterations", result.max_overuse,
-              result.iterations);
-  }
   return result;
 }
 

@@ -66,8 +66,8 @@ struct RouteIterationStats {
   long overused_edges = 0; // edges above capacity after the round
   int max_overuse = 0;
   int batches = 0;         // disjoint-bbox parallel batches this round
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
+
+  bool operator==(const RouteIterationStats&) const = default;
 };
 
 struct RouteResult {
@@ -77,14 +77,10 @@ struct RouteResult {
   std::size_t edges_used = 0;
   int max_overuse = 0;
   double total_wirelength = 0.0;
-  double wall_seconds = 0.0;  // whole route_design call
-  double cpu_seconds = 0.0;
   std::vector<RouteIterationStats> iteration_stats;
   std::string error;
 
-  /// One-line per-iteration digest for flow logs:
-  /// "i1: 42 rerouted/7 over ..." (empty when nothing was routed).
-  std::string iteration_summary() const;
+  bool operator==(const RouteResult&) const = default;
 };
 
 /// Routes every unrouted multi-terminal net in `netlist` whose endpoints

@@ -9,7 +9,6 @@
 #include "sim/eval.h"
 #include "sim/fixed.h"
 #include "sim/simulator.h"
-#include "util/log.h"
 #include "util/rng.h"
 
 namespace fpgasim {
@@ -934,8 +933,6 @@ void enforce_compiled_match(const Netlist& netlist, int cycles, std::uint64_t se
   static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
   const std::string diff = compare_compiled_vs_interpreter(netlist, cycles, seed, kVerifyLanes);
   if (!diff.empty()) throw std::runtime_error(where + " compiled-verify: " + diff);
-  LOG_DEBUG("%s compiled-verify: ok, %d cycles x %zu lanes", where.c_str(), cycles,
-            std::size(kVerifyLanes));
 }
 
 }  // namespace fpgasim

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "util/aligned.h"
-#include "util/env.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -64,7 +63,6 @@ InferenceEngine::InferenceEngine(const Netlist& netlist,
     throw std::runtime_error("engine: cycles_per_batch must be >= 1");
   }
   std::size_t n = opt_.contexts;
-  if (n == 0) n = env_positive("FPGASIM_ENGINE_CONTEXTS");
   if (n == 0) n = pool_ != nullptr ? pool_->size() : ThreadPool::default_width();
   n = std::clamp<std::size_t>(n, 1, kMaxContexts);
   contexts_.reserve(n);

@@ -40,9 +40,8 @@
 namespace fpgasim {
 
 struct EngineOptions {
-  /// Simulation contexts to instantiate. 0 selects the
-  /// FPGASIM_ENGINE_CONTEXTS environment variable when set to a positive
-  /// integer, else the serving pool's width. Clamped to [1, 64].
+  /// Simulation contexts to instantiate. 0 selects the serving pool's
+  /// width. Clamped to [1, 64].
   std::size_t contexts = 0;
   /// Clock cycles per shard; one shard serves kLanes * cycles_per_batch
   /// vectors. Larger batches amortize the context reset.

@@ -9,13 +9,6 @@
 
 namespace fpgasim {
 
-std::string TimingResult::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "critical path %.3f ns -> Fmax %.1f MHz (%zu endpoints)",
-                critical_path_ns, fmax_mhz, endpoints);
-  return buf;
-}
-
 double estimate_wire_delay(const Device& device, TileCoord from, TileCoord to,
                            const DelayModel& dm) {
   if (from == kUnplaced || to == kUnplaced) return dm.wire_unplaced;

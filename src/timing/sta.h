@@ -22,8 +22,6 @@ struct TimingResult {
   double fmax_mhz = 0.0;
   std::vector<std::string> critical_path;  // endpoint-first chain of cells
   std::size_t endpoints = 0;
-
-  std::string summary() const;
 };
 
 /// Runs STA. `phys` may have empty routes (placement-based estimates) or

@@ -1,7 +1,7 @@
 // Lightweight leveled logger. Thread-safe; writes to stderr.
 //
 // Usage:
-//   LOG_INFO("placed %zu cells in %.2fs", n, secs);
+//   LOG_WARN("skipped %zu malformed line(s)", n);
 //   fpgasim::set_log_level(fpgasim::LogLevel::kWarn);
 #pragma once
 
@@ -15,13 +15,10 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// printf-style log emission; prefer the LOG_* macros below.
+/// printf-style log emission; prefer the LOG_WARN macro below.
 void log_message(LogLevel level, const char* file, int line, const char* fmt, ...)
     __attribute__((format(printf, 4, 5)));
 
 }  // namespace fpgasim
 
-#define LOG_DEBUG(...) ::fpgasim::log_message(::fpgasim::LogLevel::kDebug, __FILE__, __LINE__, __VA_ARGS__)
-#define LOG_INFO(...) ::fpgasim::log_message(::fpgasim::LogLevel::kInfo, __FILE__, __LINE__, __VA_ARGS__)
 #define LOG_WARN(...) ::fpgasim::log_message(::fpgasim::LogLevel::kWarn, __FILE__, __LINE__, __VA_ARGS__)
-#define LOG_ERROR(...) ::fpgasim::log_message(::fpgasim::LogLevel::kError, __FILE__, __LINE__, __VA_ARGS__)

@@ -197,25 +197,12 @@ TEST(Engine, PlanCompiledOnceAndSharedAcrossContexts) {
   EXPECT_EQ(SimPlan::plans_compiled() - before, 2u);
 }
 
-TEST(Engine, ContextCountFromEnvironmentKnob) {
+TEST(Engine, ContextCountFromOptionOrPoolWidth) {
   const Netlist nl = engine_fixture();
   const auto plan = SimPlan::compile(nl);
   ThreadPool pool(2);
 
-  ASSERT_EQ(::setenv("FPGASIM_ENGINE_CONTEXTS", "3", 1), 0);
-  InferenceEngine engine(nl, plan, EngineOptions{}, &pool);
-  EXPECT_EQ(engine.context_count(), 3u);
-
-  // Parsed as strictly as FPGASIM_THREADS: anything but a positive integer
-  // with nothing after it falls back to the pool width.
-  for (const char* bad : {"3x", "-2", ""}) {
-    ASSERT_EQ(::setenv("FPGASIM_ENGINE_CONTEXTS", bad, 1), 0);
-    InferenceEngine fallback(nl, plan, EngineOptions{}, &pool);
-    EXPECT_EQ(fallback.context_count(), 2u) << "FPGASIM_ENGINE_CONTEXTS='" << bad << "'";
-  }
-  ::unsetenv("FPGASIM_ENGINE_CONTEXTS");
-
-  // Explicit option wins over the environment; absent both, pool width.
+  // An explicit option wins; absent one, the pool width.
   EngineOptions opt;
   opt.contexts = 5;
   InferenceEngine explicit_ctx(nl, plan, opt, &pool);

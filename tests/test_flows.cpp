@@ -8,6 +8,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/service.h"
+#include "sim/compiled.h"
 #include "stream_harness.h"
 
 namespace fpgasim {
@@ -138,29 +139,27 @@ TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
 
 TEST(Flows, CompiledVerifyGatePassesInBothFlows) {
   MiniFlow f;
-
+  // The gate compiles one plan of the final netlist and throws on a
+  // divergence, so a flow that returns with one more plan compiled passed.
+  const std::uint64_t before = SimPlan::plans_compiled();
   PreImplOptions pre_opt;
   pre_opt.compiled_verify = true;
-  pre_opt.compiled_verify_cycles = 16;
-  const PreImplReport pre = f.compile(pre_opt).report;
-  EXPECT_TRUE(pre.compiled_verify_ok);
-  EXPECT_GT(pre.compiled_verify_seconds, 0.0);
+  f.compile(pre_opt);
+  EXPECT_EQ(SimPlan::plans_compiled() - before, 1u);
 
   Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
   PhysState phys;
   MonoOptions mono_opt;
   mono_opt.compiled_verify = true;
-  mono_opt.compiled_verify_cycles = 16;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys, mono_opt);
-  EXPECT_TRUE(mono.compiled_verify_ok);
-  EXPECT_GT(mono.compiled_verify_seconds, 0.0);
+  run_monolithic_flow(f.device, flat, phys, mono_opt);
+  EXPECT_EQ(SimPlan::plans_compiled() - before, 2u);
 }
 
 TEST(Flows, CompiledVerifyGateDefaultsOff) {
-  MiniFlow f;
-  const PreImplReport& pre = f.first.report;
-  EXPECT_FALSE(pre.compiled_verify_ok);
-  EXPECT_EQ(pre.compiled_verify_seconds, 0.0);
+  const std::uint64_t before = SimPlan::plans_compiled();
+  MiniFlow f;  // a cold compile with default options
+  f.compile();
+  EXPECT_EQ(SimPlan::plans_compiled() - before, 0u);
 }
 
 TEST(Flows, ComponentMatchingFailsWithoutDatabase) {
@@ -221,7 +220,6 @@ TEST(Flows, StitchIsSmallShareOfArchitectureOptimization) {
     if (report.total_seconds < fastest.total_seconds) fastest = std::move(report);
   }
   EXPECT_LT(fastest.stitch_fraction(), 0.6);
-  EXPECT_GT(f.first.report.function_opt_seconds, 0.0);
 }
 
 TEST(Flows, PreImplLeNetFinishesDrcClean) {

@@ -188,11 +188,10 @@ TEST(MacroPlacer, ReportsPlacementStats) {
   const Device device = make_xcku5p_sim();
   const auto items = make_chain_items(device, 5, 10, 20);
   const auto nets = make_chain_nets(5);
-  MacroPlaceOptions opt;
-  const MacroPlaceResult result = place_macros(device, items, nets, opt);
+  const MacroPlaceResult result = place_macros(device, items, nets);
   ASSERT_TRUE(result.success);
   const PlaceStats& stats = result.stats;
-  EXPECT_EQ(stats.starts, 3 + opt.perturbed_starts);
+  EXPECT_EQ(stats.starts, 3 + kMacroPerturbedStarts);
   EXPECT_EQ(static_cast<int>(stats.backtracks_per_start.size()), stats.starts);
   EXPECT_GE(stats.winner_start, 0);
   EXPECT_LT(stats.winner_start, stats.starts);
@@ -200,9 +199,6 @@ TEST(MacroPlacer, ReportsPlacementStats) {
   EXPECT_GT(stats.cost_evals, 0);
   EXPECT_GT(stats.nets_touched, 0);
   EXPECT_GT(stats.overlap_tests, 0);
-  EXPECT_GE(stats.wall_seconds, 0.0);
-  EXPECT_GE(stats.cpu_seconds, 0.0);
-  EXPECT_NE(stats.summary().find("starts"), std::string::npos);
 }
 
 TEST(MacroPlacer, DeterministicForSeed) {

@@ -76,6 +76,8 @@ TEST(PlaceDeterminism, ByteIdenticalAcrossPoolWidths) {
   for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
     const MacroPlaceResult wide = place_with_pool(s, width, true);
     expect_identical(serial, wide, "pool width " + std::to_string(width));
+    // Every work counter too: starts run the same work at any width.
+    EXPECT_TRUE(wide == serial) << "result differs from serial at pool width " << width;
   }
 }
 
@@ -90,6 +92,7 @@ TEST(PlaceDeterminism, GlobalPoolMatchesExplicitSerial) {
   const MacroPlaceResult serial = place_with_pool(s, 1, true);
   ASSERT_TRUE(global_pool.success) << global_pool.error;
   expect_identical(serial, global_pool, "global pool vs explicit width 1");
+  EXPECT_TRUE(global_pool == serial) << "global pool vs explicit width 1";
 }
 
 TEST(PlaceDeterminism, IncrementalMatchesFullRecompute) {

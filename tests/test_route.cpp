@@ -346,7 +346,6 @@ TEST(Router, IterationStatsTrackNegotiation) {
   EXPECT_LT(min_later, 24);
   // Converged: the last round found no overuse.
   EXPECT_EQ(result.iteration_stats.back().overused_edges, 0);
-  EXPECT_FALSE(result.iteration_summary().empty());
 }
 
 TEST(Router, SkipsNetsWithUnplacedEndpoints) {

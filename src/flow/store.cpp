@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "drc/drc.h"
-#include "lint/lint.h"
 #include "util/env.h"
 #include "util/log.h"
 
@@ -70,8 +69,7 @@ Hash128 CheckpointStore::content_hash(const std::string& key, const std::string&
 
 CheckpointStore::CheckpointStore(StoreOptions opt)
     : dir_(opt.dir),
-      cache_budget_(resolve_cache_bytes(opt.cache_bytes)),
-      lint_(opt.lint) {
+      cache_budget_(resolve_cache_bytes(opt.cache_bytes)) {
   if (dir_.empty()) return;
 
   fs::create_directories(dir_);
@@ -217,12 +215,8 @@ CheckpointStore::Resolution CheckpointStore::resolve(const std::string& key,
     const std::string path = entry_path(hash);
     Checkpoint cp = load_checkpoint(path);
     // A store entry only becomes usable content if it passes the
-    // checkpoint DRC (device-dependent rules run at use time) and, opt-in,
-    // fpgalint.
+    // checkpoint DRC (device-dependent rules run at use time).
     enforce(run_checkpoint_drc(cp), "store load '" + key + "' (" + path + ")");
-    if (lint_) {
-      enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");
-    }
     disk_loads_.fetch_add(1, std::memory_order_relaxed);
     out.checkpoint = cache_insert(hash, std::make_shared<const Checkpoint>(std::move(cp)));
   } catch (...) {

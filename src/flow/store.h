@@ -5,8 +5,8 @@
 // append-friendly index file plus one immutable `.fdcp` per entry, written
 // atomically (temp file + rename). An in-memory LRU cache with a
 // configurable byte budget makes repeated gets cheap: a checkpoint is
-// deserialized — and DRC/lint-gated — at most once per process while it
-// stays resident.
+// deserialized — and DRC-gated — at most once per process while it stays
+// resident.
 #pragma once
 
 #include <atomic>
@@ -40,8 +40,6 @@ struct StoreOptions {
   /// (bytes) when set, else 256 MiB. The cache always retains at least
   /// its most recent entry.
   std::size_t cache_bytes = 0;
-  /// Opt-in fpgalint gate on disk loads (the DRC gate always runs).
-  bool lint = false;
 };
 
 struct StoreStats {
@@ -121,10 +119,10 @@ class CheckpointStore {
   };
 
   /// The claim ladder, cache -> disk -> build. A cache hit takes only the
-  /// cache lock. A disk entry is deserialized, DRC gated (plus fpgalint
-  /// when StoreOptions::lint) and cached once per residency; concurrent
-  /// callers wait for that load. Without `claim`, an absent entry or one
-  /// being built resolves to nothing. Throws when an entry fails to load.
+  /// cache lock. A disk entry is deserialized, DRC gated and cached once
+  /// per residency; concurrent callers wait for that load. Without
+  /// `claim`, an absent entry or one being built resolves to nothing.
+  /// Throws when an entry fails to load.
   Resolution resolve(const std::string& key, const Device& device, bool claim = true);
 
   /// The checkpoint resolve() finds without claiming; nullptr when absent.
@@ -170,7 +168,6 @@ class CheckpointStore {
 
   std::string dir_;
   std::size_t cache_budget_ = 0;
-  bool lint_ = false;
 
   mutable std::mutex index_mutex_;
   std::map<Hash128, IndexEntry> index_;

@@ -5,11 +5,14 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/log.h"
 #include "util/rng.h"
 
 namespace fpgasim {
 namespace {
+
+// Start temperature calibration: the share of sampled uphill moves the
+// first stage accepts (loose, so early stages explore).
+constexpr double kInitialAccept = 0.35;
 
 /// Scalarizes an overflow vector for the annealer's penalty term. Hard
 /// blocks weigh far more than fabric cells: a DSP has nowhere else to go.
@@ -43,14 +46,6 @@ BinGrid make_bins(const Device& device, const SaOptions& opt) {
     for (int y = opt.region.y0; y <= std::min(opt.region.y1, device.height() - 1); ++y) {
       ResourceVec cap = device.tile_capacity(x, y);
       grid.capacity[static_cast<std::size_t>(grid.bin_of_tile(opt, x, y))] += cap;
-    }
-  }
-  if (opt.fill_limit < 1.0) {
-    for (ResourceVec& cap : grid.capacity) {
-      cap.lut = static_cast<std::int64_t>(cap.lut * opt.fill_limit);
-      cap.ff = static_cast<std::int64_t>(cap.ff * opt.fill_limit);
-      cap.carry = std::max<std::int64_t>(1, static_cast<std::int64_t>(cap.carry * opt.fill_limit));
-      // Hard blocks are not derated; they are all-or-nothing sites.
     }
   }
   return grid;
@@ -227,14 +222,7 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
     }
     if (samples > 0) avg_dc = std::max(1e-6, sum / samples);
   }
-  // initial_accept outside (0, 1) — including NaN — would make the start
-  // temperature infinite/NaN and acceptance degenerate.
-  double initial_accept = opt.initial_accept;
-  if (!(initial_accept > 0.0 && initial_accept < 1.0)) {
-    LOG_WARN("place_sa: initial_accept %.3f outside (0, 1); clamping", opt.initial_accept);
-    initial_accept = initial_accept >= 1.0 ? 0.999 : 1e-3;
-  }
-  double temperature = avg_dc / -std::log(initial_accept);
+  double temperature = avg_dc / -std::log(kInitialAccept);
   double window = std::max(grid.bins_x, grid.bins_y);
 
   for (int stage = 0; stage < stages; ++stage) {

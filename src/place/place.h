@@ -38,8 +38,6 @@ struct SaOptions {
   Pblock region;            // placement area (tile coords)
   int bin_tiles = 1;        // bin edge length in tiles
   double moves_per_item = 160.0;
-  double initial_accept = 0.35;  // loose start temperature calibration
-  double fill_limit = 1.0;       // fraction of bin capacity usable
   std::uint64_t seed = 1;
 };
 

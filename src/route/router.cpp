@@ -9,6 +9,14 @@
 namespace fpgasim {
 namespace {
 
+// Present-congestion pressure grows by this much per negotiation round.
+constexpr double kPresentFactor = 0.7;
+// Initial expansion of the per-net A* bounding box beyond its terminals
+// (tiles), and the extra margin granted each time congestion rips the net
+// up again (the box grows until a detour fits).
+constexpr int kBboxMargin = 3;
+constexpr int kBboxGrowth = 8;
+
 struct Graph {
   int w = 0, h = 0;
   RouteOptions opt;
@@ -70,7 +78,7 @@ struct Graph {
     const float base = horizontal ? base_h[idx] : base_v[idx];
     const int use = horizontal ? use_h[idx] : use_v[idx];
     const double load = static_cast<double>(use) / opt.channel_capacity;
-    return base * (1.0 + opt.congestion_delay_factor * load * load);
+    return base * (1.0 + kCongestionDelayFactor * load * load);
   }
 
   /// Usage of locked / pre-routed nets: no rip-up, so no reverse index.
@@ -584,7 +592,7 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
         }
       }
     }
-    job.margin = std::max(0, opt.bbox_margin);
+    job.margin = kBboxMargin;
     clamp_box(job, graph);
     jobs.push_back(std::move(job));
   }
@@ -597,7 +605,7 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
 
   // PathFinder negotiation.
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    const double pressure = opt.present_factor * (iter + 1);
+    const double pressure = kPresentFactor * (iter + 1);
 
     std::vector<std::size_t> worklist;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -672,7 +680,7 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     // not fit the current rectangle.
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       if (dirty[j] != 0) {
-        jobs[j].margin += std::max(0, opt.bbox_growth);
+        jobs[j].margin += kBboxGrowth;
         clamp_box(jobs[j], graph);
       }
     }

@@ -31,12 +31,14 @@
 
 namespace fpgasim {
 
+/// Committed edge delay is base * (1 + kCongestionDelayFactor * load^2),
+/// load = usage / channel capacity: the slowdown on saturated edges.
+inline constexpr double kCongestionDelayFactor = 0.25;
+
 struct RouteOptions {
   int channel_capacity = 14;  // wires per tile edge per direction
   int max_iterations = 18;    // PathFinder negotiation rounds
-  double present_factor = 0.7;
   double history_factor = 0.35;
-  double congestion_delay_factor = 0.25;  // slowdown on saturated edges
   std::uint64_t seed = 1;
   /// Extra terminal per net (partition pins of OOC ports): net -> tile.
   std::unordered_map<NetId, TileCoord> fixed_terminals;
@@ -48,11 +50,6 @@ struct RouteOptions {
   /// edge are rerouted. `false` restores the legacy full rip-up (every net,
   /// every iteration) for A/B benchmarking.
   bool incremental = true;
-  /// Initial expansion of the per-net A* bounding box beyond its terminals
-  /// (tiles), and the extra margin granted each time congestion rips the
-  /// net up again (the box grows until a detour fits).
-  int bbox_margin = 3;
-  int bbox_growth = 8;
   /// Pool for routing the nets of a batch concurrently; null uses the
   /// process-global pool (FPGASIM_THREADS). Any width, including 1,
   /// produces byte-identical results.

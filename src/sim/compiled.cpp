@@ -928,11 +928,4 @@ std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
   return {};
 }
 
-void enforce_compiled_match(const Netlist& netlist, int cycles, std::uint64_t seed,
-                            const std::string& where) {
-  static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
-  const std::string diff = compare_compiled_vs_interpreter(netlist, cycles, seed, kVerifyLanes);
-  if (!diff.empty()) throw std::runtime_error(where + " compiled-verify: " + diff);
-}
-
 }  // namespace fpgasim

@@ -344,9 +344,4 @@ std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
                                             std::span<const int> lanes_to_check = {},
                                             std::shared_ptr<const SimPlan> plan = nullptr);
 
-/// The flows' compiled-verify gate: compare_compiled_vs_interpreter on a
-/// fixed lane sample; throws std::runtime_error naming `where` on a diff.
-void enforce_compiled_match(const Netlist& netlist, int cycles, std::uint64_t seed,
-                            const std::string& where);
-
 }  // namespace fpgasim

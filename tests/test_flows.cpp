@@ -8,7 +8,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/service.h"
-#include "sim/compiled.h"
+#include "lint/lint.h"
 #include "stream_harness.h"
 
 namespace fpgasim {
@@ -137,31 +137,6 @@ TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
   EXPECT_EQ(mono.stats.resources.dsp, pre.stats.resources.dsp);
 }
 
-TEST(Flows, CompiledVerifyGatePassesInBothFlows) {
-  MiniFlow f;
-  // The gate compiles one plan of the final netlist and throws on a
-  // divergence, so a flow that returns with one more plan compiled passed.
-  const std::uint64_t before = SimPlan::plans_compiled();
-  PreImplOptions pre_opt;
-  pre_opt.compiled_verify = true;
-  f.compile(pre_opt);
-  EXPECT_EQ(SimPlan::plans_compiled() - before, 1u);
-
-  Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
-  PhysState phys;
-  MonoOptions mono_opt;
-  mono_opt.compiled_verify = true;
-  run_monolithic_flow(f.device, flat, phys, mono_opt);
-  EXPECT_EQ(SimPlan::plans_compiled() - before, 2u);
-}
-
-TEST(Flows, CompiledVerifyGateDefaultsOff) {
-  const std::uint64_t before = SimPlan::plans_compiled();
-  MiniFlow f;  // a cold compile with default options
-  f.compile();
-  EXPECT_EQ(SimPlan::plans_compiled() - before, 0u);
-}
-
 TEST(Flows, ComponentMatchingFailsWithoutDatabase) {
   MiniFlow f;
   ComposedDesign composed;
@@ -240,6 +215,25 @@ TEST(Flows, PreImplLeNetFinishesDrcClean) {
   EXPECT_GE(report.drc_seconds, 0.0);
 }
 
+/// The monolithic baseline's QoR beyond Fmax: what flat SA placement,
+/// full routing and phys-opt produce. The flow's placement, routing and
+/// phys-opt constants all feed these numbers.
+struct MonoQor {
+  std::int64_t lut, ff, dsp, bram;
+  std::size_t inserted_ffs, replicated_drivers;
+  double wirelength;
+};
+
+void expect_mono_qor(const MonoReport& mono, const MonoQor& pin) {
+  EXPECT_EQ(mono.stats.resources.lut, pin.lut);
+  EXPECT_EQ(mono.stats.resources.ff, pin.ff);
+  EXPECT_EQ(mono.stats.resources.dsp, pin.dsp);
+  EXPECT_EQ(mono.stats.resources.bram, pin.bram);
+  EXPECT_EQ(mono.inserted_ffs, pin.inserted_ffs);
+  EXPECT_EQ(mono.replicated_drivers, pin.replicated_drivers);
+  EXPECT_DOUBLE_EQ(mono.route.total_wirelength, pin.wirelength);
+}
+
 TEST(Flows, LenetQorIsPinned) {
   // The configuration examples/lenet_accelerator reports (paper Table III).
   // Pinned so the printed Fmax gain (1.23x) cannot drift silently: a change
@@ -254,6 +248,7 @@ TEST(Flows, LenetQorIsPinned) {
   PhysState phys;
   const MonoReport mono = run_monolithic_flow(f.device, flat, phys);
   EXPECT_NEAR(mono.timing.fmax_mhz, 105.3344, 1e-3);
+  expect_mono_qor(mono, {7050, 1342, 72, 145, 0, 0, 12324.0});
   // The paper's verdicts: a real Fmax gain, bounded by the slowest component.
   EXPECT_GT(pre.timing.fmax_mhz, mono.timing.fmax_mhz);
   EXPECT_LE(pre.timing.fmax_mhz, pre.slowest_component_mhz);
@@ -277,24 +272,27 @@ TEST(Flows, MonolithicLeNetFinishesDrcClean) {
 TEST(Flows, GateStageSetsArePinned) {
   // Every DRC gate always runs at its stage mask: structural (5 rules)
   // after compose, + placement (10) after relocation or SA placement,
-  // + routing (14) after routing. The opt-in lint gate runs all 9 rules.
+  // + routing (14) after routing. fpgalint over either flow's final
+  // netlist runs all 9 of its rules and finds no error.
   MiniFlow f;
-  PreImplOptions pre_opt;
-  pre_opt.lint = true;
-  const PreImplReport pre = f.compile(pre_opt).report;
+  const CompileService::SessionResult session = f.compile();
+  const PreImplReport& pre = session.report;
   EXPECT_EQ(pre.drc_compose.rules_run(), 5u);
   EXPECT_EQ(pre.drc_place.rules_run(), 10u);
   EXPECT_EQ(pre.drc.rules_run(), 14u);
-  EXPECT_EQ(pre.lint.rules_run(), 9u);
+  const FindingsReport pre_lint =
+      lint::run(session.design.netlist, {}, session.design.instances);
+  EXPECT_EQ(pre_lint.rules_run(), 9u);
+  EXPECT_TRUE(pre_lint.clean()) << pre_lint.to_string();
 
   Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
   PhysState phys;
-  MonoOptions mono_opt;
-  mono_opt.lint = true;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys, mono_opt);
+  const MonoReport mono = run_monolithic_flow(f.device, flat, phys);
   EXPECT_EQ(mono.drc_place.rules_run(), 10u);
   EXPECT_EQ(mono.drc.rules_run(), 14u);
-  EXPECT_EQ(mono.lint.rules_run(), 9u);
+  const FindingsReport mono_lint = lint::run(flat);
+  EXPECT_EQ(mono_lint.rules_run(), 9u);
+  EXPECT_TRUE(mono_lint.clean()) << mono_lint.to_string();
 }
 
 struct ResblockFlow : ServiceFlow {
@@ -339,6 +337,9 @@ TEST(Flows, ResblockMonolithicBaselineBitMatchesGolden) {
   EXPECT_TRUE(mono.route.success);
   EXPECT_TRUE(mono.drc_place.clean()) << mono.drc_place.to_string();
   EXPECT_TRUE(mono.drc.clean()) << mono.drc.to_string();
+  // The baseline's QoR, pinned like LeNet's in LenetQorIsPinned.
+  EXPECT_NEAR(mono.timing.fmax_mhz, 139.5771, 1e-3);
+  expect_mono_qor(mono, {4917, 1141, 15, 40, 0, 0, 5463.0});
 
   const Tensor input = testhelpers::random_tensor(2, 8, 8, 906);
   const auto expected = reference_inference(f.model, input);

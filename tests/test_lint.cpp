@@ -294,61 +294,63 @@ TEST(Lint, StitchBoundaryWidthMismatchNamesInstances) {
 
 // -- the false-positive contract ---------------------------------------------
 
-/// Service options with the OOC lint gate on: it runs over every
-/// checkpoint as it is built.
-ServiceOptions linted_builds() {
-  ServiceOptions opt;
-  opt.ooc.lint = true;
-  return opt;
-}
-
 struct CleanFlow {
   Device device = make_xcku5p_sim();
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
   CheckpointStore store;
-  CompileService service{device, store, linted_builds()};
+  CompileService service{device, store};
 
   explicit CleanFlow(CnnModel m, long dsp_budget, int max_tile = 32) : model(std::move(m)) {
     impl = choose_implementation(model, dsp_budget, max_tile);
     groups = default_grouping(model);
   }
 
-  /// The pre-implemented flow with the composed-design lint gate on (the
-  /// gate throws on error findings).
-  PreImplReport linted_preimpl() {
-    PreImplOptions opt;
-    opt.lint = true;
-    return service.compile(model, impl, groups, opt).report;
+  /// Compiles the model through the pre-implemented flow and lints what it
+  /// made: every component checkpoint the compile built into the store (a
+  /// silent defect in one replicates into every network built from it)
+  /// must be free of errors. Returns the lint report of the composed
+  /// design, stitch-boundary aware through its instance ranges.
+  FindingsReport lint_preimpl() {
+    const ComposedDesign design = service.compile(model, impl, groups).design;
+    for (const ComponentRequest& request : component_requests(model, impl, groups)) {
+      const std::shared_ptr<const Checkpoint> checkpoint = store.get(request.key, device);
+      if (checkpoint == nullptr) {
+        ADD_FAILURE() << request.key << " is not in the store";
+        continue;
+      }
+      const FindingsReport report = lint::run(checkpoint->netlist);
+      EXPECT_TRUE(report.clean()) << request.key << "\n" << report.to_string();
+    }
+    return lint::run(design.netlist, {}, design.instances);
   }
 };
 
 TEST(LintClean, LeNetPreImplAndMonolithic) {
   CleanFlow f(make_lenet5(), 64);
-  const PreImplReport pre = f.linted_preimpl();
-  EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
-  EXPECT_GE(pre.lint.rules_run(), 9u);
+  const FindingsReport pre = f.lint_preimpl();
+  EXPECT_TRUE(pre.empty()) << pre.to_string();
+  EXPECT_GE(pre.rules_run(), 9u);
 
   Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
   PhysState phys;
-  MonoOptions mono_opt;
-  mono_opt.lint = true;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys, mono_opt);
-  EXPECT_TRUE(mono.lint.empty()) << mono.lint.to_string();
+  run_monolithic_flow(f.device, flat, phys);
+  const FindingsReport mono = lint::run(flat);
+  EXPECT_TRUE(mono.empty()) << mono.to_string();
 }
 
 TEST(LintClean, ResblockPreImpl) {
   CleanFlow f(make_resblock_net(), 64);
-  const PreImplReport pre = f.linted_preimpl();
-  EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
+  const FindingsReport pre = f.lint_preimpl();
+  EXPECT_TRUE(pre.empty()) << pre.to_string();
 }
 
 TEST(LintClean, Vgg16PreImpl) {
   // The VGG example's quick configuration (small tiles, streamed weights).
   CleanFlow f(make_vgg16(), 384, 14);
-  const PreImplReport pre = f.linted_preimpl();
-  EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
+  const FindingsReport pre = f.lint_preimpl();
+  EXPECT_TRUE(pre.empty()) << pre.to_string();
 }
 
 // -- determinism -------------------------------------------------------------

@@ -81,16 +81,39 @@ TEST(OocFlow, PortPlanningBeatsRandomPins) {
   EXPECT_GE(with.timing.fmax_mhz, without.timing.fmax_mhz * 0.9);
 }
 
-TEST(OocFlow, UnlockedOptionLeavesNetlistOpen) {
+TEST(OocFlow, EveryResultIsFullyLocked) {
+  // Logic locking is not optional: with the exploration options off their
+  // defaults too, the winner leaves function optimization with every cell
+  // locked (ProducesLockedPlacedRoutedCheckpoint covers the defaults).
+  const Device device = make_xcku5p_sim();
+  OocOptions unplanned;
+  unplanned.port_planning = false;
+  OocOptions single;
+  single.strategies = 1;
+  single.seed = 9;
+  for (const OocOptions& opt : {unplanned, single}) {
+    const OocResult result = implement_ooc(device, small_conv(), opt);
+    const Netlist& netlist = result.checkpoint.netlist;
+    for (CellId c = 0; c < netlist.cell_count(); ++c) {
+      EXPECT_TRUE(netlist.cell(c).placement_locked) << netlist.cell(c).name;
+    }
+  }
+}
+
+TEST(OocFlow, ResidualOveruseIsNoImplementation) {
+  // One wire per tile edge: every strategy's route ends with channel
+  // overuse, so no strategy may win and enter the store.
   const Device device = make_xcku5p_sim();
   OocOptions opt;
-  opt.lock = false;
-  const OocResult result = implement_ooc(device, small_conv(), opt);
-  bool any_locked = false;
-  for (CellId c = 0; c < result.checkpoint.netlist.cell_count(); ++c) {
-    any_locked |= result.checkpoint.netlist.cell(c).placement_locked;
+  opt.route.channel_capacity = 1;
+  try {
+    const OocResult result = implement_ooc(device, small_conv(), opt);
+    FAIL() << "strategy " << result.strategy << " won with max overuse "
+           << result.route.max_overuse;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no strategy succeeded"), std::string::npos)
+        << e.what();
   }
-  EXPECT_FALSE(any_locked);
 }
 
 TEST(OocFlow, ThrowsWhenComponentCannotFitDevice) {

@@ -79,26 +79,6 @@ TEST(PlaceSa, ThrowsOnFixedItemOutsideRegion) {
   EXPECT_THROW(place_sa(device, items, {}, opt), std::runtime_error);
 }
 
-TEST(PlaceSa, ClampsDegenerateInitialAccept) {
-  const Device device = make_tiny_device();
-  std::vector<PlaceItem> items(12);
-  for (auto& item : items) item.res = ResourceVec{.lut = 2, .ff = 2};
-  std::vector<PlaceNet> nets;
-  for (int i = 0; i + 1 < 12; ++i) nets.push_back(PlaceNet{{i, i + 1}, 1.0});
-  SaOptions opt;
-  opt.region = Pblock{0, 0, device.width() - 1, device.height() - 1};
-  opt.bin_tiles = 4;
-  opt.initial_accept = 1.0;  // -log(1) == 0: infinite start temperature
-  const SaResult degenerate = place_sa(device, items, nets, opt);
-  EXPECT_TRUE(std::isfinite(degenerate.final_cost));
-  EXPECT_TRUE(std::isfinite(degenerate.final_hpwl));
-  // Clamping must make 1.0 behave exactly like the clamp target, instead
-  // of the accept-everything random walk an infinite temperature causes.
-  SaOptions clamped = opt;
-  clamped.initial_accept = 0.999;
-  EXPECT_EQ(degenerate.item_bin, place_sa(device, items, nets, clamped).item_bin);
-}
-
 TEST(PlaceSa, ThrowsWhenDemandExceedsRegion) {
   const Device device = make_tiny_device();
   std::vector<PlaceItem> items(1);

@@ -231,20 +231,19 @@ TEST(Router, CommittedDelaysReflectSettledUsage) {
   design.add_pair(TileCoord{2, 5}, TileCoord{6, 5});
   design.add_pair(TileCoord{2, 5}, TileCoord{6, 5});
   RouteOptions opt;
-  opt.channel_capacity = 4;           // no overuse: both keep the straight path
-  opt.congestion_delay_factor = 1.0;  // make the load term visible
+  opt.channel_capacity = 4;  // no overuse: both keep the straight path
   const RouteResult result = route_design(device, design.netlist, design.phys, opt);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.max_overuse, 0);
   const DelayModel dm;
   // Unique shortest path is the straight row: 4 edges at use 2 of cap 4.
   const double load = 2.0 / 4.0;
-  const double per_edge = dm.wire_per_tile * (1.0 + 1.0 * load * load);
+  const double per_edge = dm.wire_per_tile * (1.0 + kCongestionDelayFactor * load * load);
   const double expected = dm.wire_base + 4 * per_edge;
   ASSERT_EQ(design.phys.routes[0].edges.size(), 4u);
   ASSERT_EQ(design.phys.routes[1].edges.size(), 4u);
   // 1e-6 absorbs float rounding in edge delays; the stale pre-fix values
-  // (use 0 and use 1 instead of 2) are off by ~0.03 ns, 4 orders above it.
+  // (use 0 and use 1 instead of 2) are off by ~0.01 ns, 4 orders above it.
   EXPECT_NEAR(design.phys.routes[0].sink_delays_ns[0], expected, 1e-6);
   EXPECT_NEAR(design.phys.routes[1].sink_delays_ns[0], expected, 1e-6);
 }

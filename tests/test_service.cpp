@@ -5,6 +5,7 @@
 // at any build-pool width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
@@ -198,21 +199,26 @@ TEST(CheckpointStore, RemoveUnreferencedDropsExactlyTheUnreachable) {
 }
 
 TEST(CheckpointStore, ConcurrentDiskLoadsAreDeduplicated) {
-  ServiceFixture fixture;
+  const Device device = make_xcku5p_sim();
   const std::string dir = fresh_dir("load_dedup");
   StoreOptions opt;
   opt.dir = dir;
-  opt.lint = true;  // a slower gated load widens the window readers share
-  const auto requests = component_requests(fixture.chain.model, fixture.chain.impl,
-                                           fixture.chain.groups);
-  ASSERT_FALSE(requests.empty());
-  const std::string key = requests[0].key;
+  // LeNet's first FC layer (400 -> 120) keeps its weights in ROMs, which
+  // makes its load the slowest of LeNet's components: a wide window for
+  // readers to share.
+  const CnnModel model = make_lenet5();
+  const ModelImpl impl = choose_implementation(model, 16);
+  const auto groups = default_grouping(model);  // requests point into it
+  const auto requests = component_requests(model, impl, groups);
+  const auto fc = std::find_if(requests.begin(), requests.end(), [](const ComponentRequest& r) {
+    return r.key.rfind("fc_", 0) == 0;
+  });
+  ASSERT_NE(fc, requests.end());
+  const std::string key = fc->key;
   {
     CheckpointStore store(opt);
-    Netlist netlist = build_component_netlist(fixture.chain.model, fixture.chain.impl,
-                                              requests[0]);
-    OocResult built = implement_ooc(fixture.device, std::move(netlist), {});
-    ASSERT_NE(store.put(key, fixture.device, std::move(built.checkpoint)), nullptr);
+    OocResult built = implement_ooc(device, build_component_netlist(model, impl, *fc), {});
+    ASSERT_NE(store.put(key, device, std::move(built.checkpoint)), nullptr);
   }
   // Each reopen leaves the entry on disk only. Eight latch-aligned readers
   // must share one deserialization and one cached object; several rounds
@@ -226,7 +232,7 @@ TEST(CheckpointStore, ConcurrentDiskLoadsAreDeduplicated) {
     for (std::size_t t = 0; t < kReaders; ++t) {
       threads.emplace_back([&, t] {
         start.arrive_and_wait();
-        got[t] = store.get(key, fixture.device);
+        got[t] = store.get(key, device);
       });
     }
     start.arrive_and_wait();

@@ -29,12 +29,15 @@ int main() {
     opt.pblock_slack = slack;
     opt.strategies = 2;
     opt.seed = 17;
-    const OocResult result = implement_ooc(device, make_conv_component(p, {}, {}), opt);
+    Netlist netlist = make_conv_component(p, {}, {});
+    Stopwatch watch;
+    const OocResult result = implement_ooc(device, std::move(netlist), opt);
+    const double seconds = watch.seconds();
     const auto anchors = relocation_offsets(device, result.checkpoint.pblock);
     table.add_row({Table::fmt(slack, 2), result.checkpoint.pblock.to_string(),
                    std::to_string(result.checkpoint.pblock.area()),
                    Table::fmt(result.timing.fmax_mhz, 1), std::to_string(anchors.size()),
-                   Table::fmt(result.checkpoint.meta.implement_seconds, 2)});
+                   Table::fmt(seconds, 2)});
   }
   table.print();
   std::puts("expected shape: the smaller the pblock, the more relocation anchors exist");

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
@@ -21,6 +22,15 @@
 #include "util/timer.h"
 
 namespace fpgasim::bench {
+
+/// The host every BENCH_*.json section records, written into the open
+/// object: hardware threads, build type and commit (the last two fixed at
+/// CMake configure time; the commit is "unknown" outside git).
+inline void write_host_block(JsonWriter& json) {
+  json.key("hardware_threads").value(static_cast<int>(std::thread::hardware_concurrency()));
+  json.key("build_type").value(FPGASIM_BUILD_TYPE);
+  json.key("commit").value(FPGASIM_COMMIT);
+}
 
 struct NetworkRun {
   CnnModel model;
@@ -53,9 +63,7 @@ inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_bud
   run.groups = default_grouping(run.model);
 
   CheckpointStore store;
-  ServiceOptions service_opt;
-  service_opt.pool = pool;
-  CompileService service(device, store, service_opt);
+  CompileService service(device, store, pool);
   CompileService::SessionResult session = service.compile(run.model, run.impl, run.groups);
   run.function_opt_wall = session.ensure_seconds;
   run.pre = session.report;
@@ -240,6 +248,7 @@ inline void emit_sim_throughput(JsonWriter& json, const SimThroughput& r) {
   json.key("compiled_cycles_run").value(static_cast<std::size_t>(r.compiled_cycles));
   json.key("reps").value(static_cast<std::size_t>(r.reps));
   json.key("plans_compiled").value(static_cast<std::size_t>(r.plans_compiled));
+  write_host_block(json);
   json.end_object();
 }
 

@@ -176,6 +176,7 @@ int main(int argc, char** argv) {
 
     JsonWriter dfg_json;
     dfg_json.begin_object();
+    write_host_block(dfg_json);
     dfg_json.key("resblock").begin_object();
     dfg_json.key("classic_wall_s").value(res.mono.total_seconds);
     dfg_json.key("preimpl_wall_s").value(res.pre.total_seconds);
@@ -210,9 +211,7 @@ int main(int argc, char** argv) {
   };
   const auto build = [&](const NetworkRun& run, ThreadPool& pool) {
     CheckpointStore store;
-    ServiceOptions opt;
-    opt.pool = &pool;
-    CompileService service(device, store, opt);
+    CompileService service(device, store, &pool);
     CpuStopwatch cpu;
     const CompileService::SessionResult session =
         service.compile(run.model, run.impl, run.groups);
@@ -290,8 +289,7 @@ int main(int argc, char** argv) {
   };
   route_study("lenet", lenet);
   route_study("vgg16", vgg);
-  json.key("hardware_threads")
-      .value(static_cast<long>(std::thread::hardware_concurrency()));
+  write_host_block(json);
   json.end_object();
   routes.print();
   if (update_json_file("BENCH_route.json", "fig6_productivity", json.str())) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench_common.h"
 #include "flow/ooc.h"
 #include "place/place.h"
 #include "route/router.h"
@@ -168,6 +169,7 @@ void write_route_json() {
   CongestedCorridor fixture;
   JsonWriter json;
   json.begin_object();
+  bench::write_host_block(json);
   auto sample = [&](const char* name, int width, bool incremental) {
     ThreadPool pool(static_cast<std::size_t>(width));
     RouteOptions opt = fixture.opt;

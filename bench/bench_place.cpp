@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "fabric/device.h"
 #include "place/macro_placer.h"
 #include "util/json.h"
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.begin_object();
-  json.key("hardware_threads").value(static_cast<int>(std::thread::hardware_concurrency()));
+  bench::write_host_block(json);
   json.key("smoke").value(smoke);
   json.key("scenarios").begin_object();
 

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "cnn/impl.h"
 #include "cnn/model.h"
 #include "fabric/device.h"
@@ -224,9 +225,7 @@ int main(int argc, char** argv) {
     width_store_opt.dir = width_dir;
     CheckpointStore store(width_store_opt);
     ThreadPool pool(widths[w]);
-    ServiceOptions service_opt;
-    service_opt.pool = &pool;
-    CompileService service(device, store, service_opt);
+    CompileService service(device, store, &pool);
     for (const SessionSpec& spec : catalog) {
       const auto result = service.compile(spec.model, spec.impl, spec.groups);
       prints[w][spec.name] = design_fingerprint(result.design);
@@ -243,6 +242,7 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.begin_object();
+  bench::write_host_block(json);
   json.key("mode").value(smoke ? "smoke" : "full");
   json.key("sessions").value(sessions);
   json.key("catalog").begin_array();

@@ -200,6 +200,7 @@ int main(int argc, char** argv) {
 
   JsonWriter host;
   host.begin_object();
+  bench::write_host_block(host);
   host.key("hardware_concurrency").value(static_cast<std::size_t>(hw));
   host.key("speedup_gate_enforced").value(enforce_speedup);
   host.key("smoke").value(smoke);

@@ -79,6 +79,7 @@ int main() {
                     "stitch share", "in band"});
   JsonWriter json;
   json.begin_object();
+  write_host_block(json);
   for (const char* name : extra) {
     const ZooEntry* entry = find_zoo_model(name);
     const NetworkRun run =

@@ -13,6 +13,7 @@
 #include "synth/layers.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 using namespace fpgasim;
 
@@ -81,9 +82,12 @@ int main(int argc, char** argv) {
   StoreOptions opt;
   opt.dir = dir;
   std::size_t built = 0;
+  double fill_seconds = 0.0;
   {
     CheckpointStore store(opt);
+    Stopwatch watch;
     built = fill(store);
+    fill_seconds = watch.seconds();
   }
   // Restart: a fresh store over the same directory replays the index; every
   // entry loads from disk through the DRC gate and nothing is rebuilt.
@@ -93,17 +97,15 @@ int main(int argc, char** argv) {
               dir.c_str(), reopened.stats().entries, rebuilt);
 
   Table table("component store catalog");
-  table.set_header({"component", "Fmax (MHz)", "pblock", "LUT", "DSP", "BRAM", "impl (s)"});
-  double implement_seconds = 0.0;
+  table.set_header({"component", "Fmax (MHz)", "pblock", "LUT", "DSP", "BRAM"});
   for (const Entry& entry : catalog) {
     const auto cp = reopened.get(entry.key, device);
     const ResourceVec res = cp->netlist.stats().resources;
     table.add_row({entry.key, Table::fmt(cp->meta.fmax_mhz, 1), cp->pblock.to_string(),
                    std::to_string(res.lut), std::to_string(res.dsp),
-                   std::to_string(res.bram), Table::fmt(cp->meta.implement_seconds, 2)});
-    implement_seconds += cp->meta.implement_seconds;
+                   std::to_string(res.bram)});
   }
   table.print();
-  std::printf("total offline function-optimization time: %.2fs\n", implement_seconds);
+  std::printf("offline function-optimization wall time: %.2fs\n", fill_seconds);
   return rebuilt == 0 ? 0 : 1;
 }

@@ -16,8 +16,10 @@ const char* to_string(LayerKind kind) { return layer_traits(kind).keyword; }
 bool is_join(LayerKind kind) { return layer_traits(kind).join; }
 
 long Layer::weights() const {
-  const auto count = layer_traits(kind).weight_count;
-  return count != nullptr ? count(*this) : 0;
+  const auto params = layer_traits(kind).params;
+  if (params == nullptr) return 0;
+  const ParamCounts counts = params(*this);
+  return static_cast<long>(counts.weights + counts.bias);
 }
 
 long Layer::macs() const {
@@ -310,21 +312,39 @@ std::vector<Fixed16> synth_params(std::size_t count, std::uint64_t seed) {
   return params;
 }
 
-std::vector<Fixed16> reference_inference(const CnnModel& model, const Tensor& input,
-                                         std::uint64_t seed_base) {
+std::uint64_t layer_seed(std::size_t layer_index) { return 1000 + 2 * layer_index; }
+
+LayerParams layer_params(const CnnModel& model, std::size_t layer_index) {
+  const Layer& layer = model.layers()[layer_index];
+  const auto params = layer_traits(layer.kind).params;
+  if (params == nullptr) return {};
+  const ParamCounts counts = params(layer);
+  const std::uint64_t seed = layer_seed(layer_index);
+  return {synth_params(counts.weights, seed), synth_params(counts.bias, seed + 1)};
+}
+
+std::vector<Fixed16> reference_inference(const CnnModel& model, const Tensor& input) {
   const auto& layers = model.layers();
   std::vector<Tensor> outs(layers.size());
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const Layer& layer = layers[i];
     const LayerTraits& traits = layer_traits(layer.kind);
     if (traits.source) {
+      // Parameter counts come from the model's shapes, so the input must
+      // have them too.
+      const Shape& shape = layer.out_shape;
+      if (input.channels != shape.c || input.height != shape.h || input.width != shape.w ||
+          static_cast<long>(input.data.size()) != shape.volume()) {
+        throw std::invalid_argument("reference_inference: input tensor does not match the "
+                                    "shape of input layer '" + layer.name + "'");
+      }
       outs[i] = input;
       continue;
     }
     std::vector<const Tensor*> ins;
     ins.reserve(layer.inputs.size());
     for (int in : layer.inputs) ins.push_back(&outs[static_cast<std::size_t>(in)]);
-    outs[i] = traits.golden(model, i, ins, seed_base);
+    outs[i] = traits.golden(model, i, ins);
     if (layer.fuse_relu && !traits.activation) outs[i] = golden_relu(outs[i]);
   }
   return outs.back().data;

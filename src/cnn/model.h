@@ -148,10 +148,25 @@ std::string to_arch_def(const CnnModel& model);
 /// saturation is not hit).
 std::vector<Fixed16> synth_params(std::size_t count, std::uint64_t seed);
 
-/// Runs the whole model on `input` with synth_params(layer seed = base+i)
-/// through the golden layer implementations, walking the DFG (branches and
-/// joins included). Returns the flattened output of the last layer.
-std::vector<Fixed16> reference_inference(const CnnModel& model, const Tensor& input,
-                                         std::uint64_t seed_base = 1000);
+/// Seed of layer i's synthesized weights (1000 + 2i); its bias draws from
+/// the next seed. The golden model, synthesis and checkpoint signatures
+/// all read it.
+std::uint64_t layer_seed(std::size_t layer_index);
+
+/// The synthesized parameters of one layer.
+struct LayerParams {
+  std::vector<Fixed16> weights;
+  std::vector<Fixed16> bias;
+};
+
+/// Layer i's parameters: synth_params over its kind's weight and bias
+/// counts, seeded layer_seed(i) and layer_seed(i) + 1. Empty for a kind
+/// without weights.
+LayerParams layer_params(const CnnModel& model, std::size_t layer_index);
+
+/// Runs the whole model on `input` with every layer's layer_params through
+/// the golden layer implementations, walking the DFG (branches and joins
+/// included). Returns the flattened output of the last layer.
+std::vector<Fixed16> reference_inference(const CnnModel& model, const Tensor& input);
 
 }  // namespace fpgasim

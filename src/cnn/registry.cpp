@@ -11,15 +11,6 @@ namespace {
 
 // -- shared helpers ----------------------------------------------------------
 
-std::vector<Fixed16> layer_weights(std::size_t i, std::size_t count,
-                                   std::uint64_t seed_base) {
-  return synth_params(count, seed_base + i * 2);
-}
-
-std::vector<Fixed16> layer_bias(std::size_t i, std::size_t count, std::uint64_t seed_base) {
-  return synth_params(count, seed_base + i * 2 + 1);
-}
-
 const Layer& at(const CnnModel& model, int i) {
   return model.layers()[static_cast<std::size_t>(i)];
 }
@@ -44,9 +35,9 @@ void infer_conv(const std::vector<Layer>&, Layer& layer) {
   layer.out_shape = Shape{layer.out_c, oh, ow};
 }
 
-long conv_weight_count(const Layer& layer) {
-  return static_cast<long>(layer.out_c) * layer.in_shape.c * layer.kernel * layer.kernel +
-         layer.out_c;
+ParamCounts conv_params(const Layer& layer) {
+  return {static_cast<std::size_t>(layer.out_c) * layer.in_shape.c * layer.kernel * layer.kernel,
+          static_cast<std::size_t>(layer.out_c)};
 }
 
 long conv_mac_count(const Layer& layer) {
@@ -54,21 +45,16 @@ long conv_mac_count(const Layer& layer) {
          layer.out_shape.h * layer.out_shape.w;
 }
 
-Tensor golden_conv(const CnnModel& model, std::size_t i,
-                   const std::vector<const Tensor*>& ins, std::uint64_t seed_base) {
+Tensor golden_conv(const CnnModel& model, std::size_t i, const std::vector<const Tensor*>& ins) {
   const Layer& layer = model.layers()[i];
-  const auto w = layer_weights(
-      i, static_cast<std::size_t>(layer.out_c) * ins[0]->channels * layer.kernel * layer.kernel,
-      seed_base);
-  const auto b = layer_bias(i, static_cast<std::size_t>(layer.out_c), seed_base);
-  return golden_conv2d(*ins[0], w, b, layer.out_c, layer.kernel, layer.stride);
+  const LayerParams params = layer_params(model, i);
+  return golden_conv2d(*ins[0], params.weights, params.bias, layer.out_c, layer.kernel,
+                       layer.stride);
 }
 
-Netlist synth_conv(const CnnModel& model, const ModelImpl& impl, int layer_idx,
-                   bool fuse_relu, std::uint64_t seed_base) {
+Netlist synth_conv(const CnnModel& model, const ModelImpl& impl, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   const LayerImpl& li = impl.layers[static_cast<std::size_t>(layer_idx)];
-  const std::uint64_t wseed = seed_base + static_cast<std::uint64_t>(layer_idx) * 2;
   ConvParams p;
   p.name = layer.name;
   p.in_c = layer.in_shape.c;
@@ -82,14 +68,9 @@ Netlist synth_conv(const CnnModel& model, const ModelImpl& impl, int layer_idx,
   p.fuse_relu = fuse_relu || layer.fuse_relu;
   p.materialize_roms = li.materialize;
   p.weight_buffer_ocg = li.weight_buffer_ocg;
-  std::vector<Fixed16> weights, bias;
-  if (li.materialize) {
-    weights = synth_params(
-        static_cast<std::size_t>(layer.out_c) * layer.in_shape.c * layer.kernel * layer.kernel,
-        wseed);
-    bias = synth_params(static_cast<std::size_t>(layer.out_c), wseed + 1);
-  }
-  return make_conv_component(p, weights, bias);
+  const LayerParams params =
+      li.materialize ? layer_params(model, static_cast<std::size_t>(layer_idx)) : LayerParams{};
+  return make_conv_component(p, params.weights, params.bias);
 }
 
 LayerCycles cycles_conv(const Layer& layer, const LayerImpl& impl) {
@@ -113,13 +94,11 @@ void infer_pool(const std::vector<Layer>&, Layer& layer) {
                           layer.in_shape.w / layer.kernel};
 }
 
-Tensor golden_pool(const CnnModel& model, std::size_t i,
-                   const std::vector<const Tensor*>& ins, std::uint64_t) {
+Tensor golden_pool(const CnnModel& model, std::size_t i, const std::vector<const Tensor*>& ins) {
   return golden_maxpool(*ins[0], model.layers()[i].kernel);
 }
 
-Netlist synth_pool(const CnnModel& model, const ModelImpl& impl, int layer_idx,
-                   bool fuse_relu, std::uint64_t) {
+Netlist synth_pool(const CnnModel& model, const ModelImpl& impl, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   const LayerImpl& li = impl.layers[static_cast<std::size_t>(layer_idx)];
   PoolParams p;
@@ -144,13 +123,11 @@ LayerCycles cycles_pool(const Layer& layer, const LayerImpl&) {
 
 void infer_relu(const std::vector<Layer>&, Layer& layer) { layer.out_shape = layer.in_shape; }
 
-Tensor golden_relu_layer(const CnnModel&, std::size_t, const std::vector<const Tensor*>& ins,
-                         std::uint64_t) {
+Tensor golden_relu_layer(const CnnModel&, std::size_t, const std::vector<const Tensor*>& ins) {
   return golden_relu(*ins[0]);
 }
 
-Netlist synth_relu(const CnnModel& model, const ModelImpl&, int layer_idx, bool,
-                   std::uint64_t) {
+Netlist synth_relu(const CnnModel& model, const ModelImpl&, int layer_idx, bool) {
   return make_relu_component(at(model, layer_idx).name);
 }
 
@@ -166,8 +143,9 @@ void infer_fc(const std::vector<Layer>&, Layer& layer) {
   layer.out_shape = Shape{layer.out_c, 1, 1};
 }
 
-long fc_weight_count(const Layer& layer) {
-  return static_cast<long>(layer.out_c) * layer.in_shape.volume() + layer.out_c;
+ParamCounts fc_params(const Layer& layer) {
+  return {static_cast<std::size_t>(layer.out_c) * static_cast<std::size_t>(layer.in_shape.volume()),
+          static_cast<std::size_t>(layer.out_c)};
 }
 
 long fc_mac_count(const Layer& layer) {
@@ -175,29 +153,21 @@ long fc_mac_count(const Layer& layer) {
 }
 
 Tensor golden_fc_layer(const CnnModel& model, std::size_t i,
-                       const std::vector<const Tensor*>& ins, std::uint64_t seed_base) {
+                       const std::vector<const Tensor*>& ins) {
   const Layer& layer = model.layers()[i];
-  const std::size_t inputs = ins[0]->data.size();
-  const auto w =
-      layer_weights(i, static_cast<std::size_t>(layer.out_c) * inputs, seed_base);
-  const auto b = layer_bias(i, static_cast<std::size_t>(layer.out_c), seed_base);
-  return Tensor{layer.out_c, 1, 1, golden_fc(ins[0]->data, w, b, layer.out_c)};
+  const LayerParams params = layer_params(model, i);
+  return Tensor{layer.out_c, 1, 1,
+                golden_fc(ins[0]->data, params.weights, params.bias, layer.out_c)};
 }
 
-Netlist synth_fc(const CnnModel& model, const ModelImpl& impl, int layer_idx, bool fuse_relu,
-                 std::uint64_t seed_base) {
+Netlist synth_fc(const CnnModel& model, const ModelImpl& impl, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   const LayerImpl& li = impl.layers[static_cast<std::size_t>(layer_idx)];
-  const std::uint64_t wseed = seed_base + static_cast<std::uint64_t>(layer_idx) * 2;
-  const int inputs = static_cast<int>(layer.in_shape.volume());
-  std::vector<Fixed16> weights, bias;
-  if (li.materialize) {
-    weights = synth_params(static_cast<std::size_t>(layer.out_c) * inputs, wseed);
-    bias = synth_params(static_cast<std::size_t>(layer.out_c), wseed + 1);
-  }
-  return make_fc_component(layer.name, inputs, layer.out_c, weights, bias, li.ic_par,
-                           li.oc_par, li.materialize, li.weight_buffer_ocg,
-                           fuse_relu || layer.fuse_relu);
+  const LayerParams params =
+      li.materialize ? layer_params(model, static_cast<std::size_t>(layer_idx)) : LayerParams{};
+  return make_fc_component(layer.name, static_cast<int>(layer.in_shape.volume()), layer.out_c,
+                           params.weights, params.bias, li.ic_par, li.oc_par, li.materialize,
+                           li.weight_buffer_ocg, fuse_relu || layer.fuse_relu);
 }
 
 LayerCycles cycles_fc(const Layer& layer, const LayerImpl& impl) {
@@ -240,26 +210,22 @@ void infer_concat(const std::vector<Layer>& layers, Layer& layer) {
   layer.out_shape = Shape{channels, layer.in_shape.h, layer.in_shape.w};
 }
 
-Tensor golden_add_layer(const CnnModel&, std::size_t, const std::vector<const Tensor*>& ins,
-                        std::uint64_t) {
+Tensor golden_add_layer(const CnnModel&, std::size_t, const std::vector<const Tensor*>& ins) {
   return golden_add(ins);
 }
 
-Tensor golden_concat_layer(const CnnModel&, std::size_t,
-                           const std::vector<const Tensor*>& ins, std::uint64_t) {
+Tensor golden_concat_layer(const CnnModel&, std::size_t, const std::vector<const Tensor*>& ins) {
   return golden_concat(ins);
 }
 
-Netlist synth_add(const CnnModel& model, const ModelImpl&, int layer_idx, bool fuse_relu,
-                  std::uint64_t) {
+Netlist synth_add(const CnnModel& model, const ModelImpl&, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   return make_add_component(layer.name, static_cast<int>(layer.in_shape.volume()),
                             static_cast<int>(layer.inputs.size()),
                             fuse_relu || layer.fuse_relu);
 }
 
-Netlist synth_concat(const CnnModel& model, const ModelImpl&, int layer_idx, bool fuse_relu,
-                     std::uint64_t) {
+Netlist synth_concat(const CnnModel& model, const ModelImpl&, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   std::vector<int> volumes;
   volumes.reserve(layer.inputs.size());
@@ -297,8 +263,9 @@ void infer_dwconv(const std::vector<Layer>&, Layer& layer) {
   layer.out_shape = Shape{layer.in_shape.c, oh, ow};
 }
 
-long dwconv_weight_count(const Layer& layer) {
-  return static_cast<long>(layer.in_shape.c) * layer.kernel * layer.kernel + layer.in_shape.c;
+ParamCounts dwconv_params(const Layer& layer) {
+  return {static_cast<std::size_t>(layer.in_shape.c) * layer.kernel * layer.kernel,
+          static_cast<std::size_t>(layer.in_shape.c)};
 }
 
 long dwconv_mac_count(const Layer& layer) {
@@ -307,12 +274,10 @@ long dwconv_mac_count(const Layer& layer) {
 }
 
 Tensor golden_dwconv(const CnnModel& model, std::size_t i,
-                     const std::vector<const Tensor*>& ins, std::uint64_t seed_base) {
+                     const std::vector<const Tensor*>& ins) {
   const Layer& layer = model.layers()[i];
-  const auto w = layer_weights(
-      i, static_cast<std::size_t>(ins[0]->channels) * layer.kernel * layer.kernel, seed_base);
-  const auto b = layer_bias(i, static_cast<std::size_t>(ins[0]->channels), seed_base);
-  return golden_dwconv2d(*ins[0], w, b, layer.kernel, layer.stride);
+  const LayerParams params = layer_params(model, i);
+  return golden_dwconv2d(*ins[0], params.weights, params.bias, layer.kernel, layer.stride);
 }
 
 /// A 1x1/s1 convolution directly after a depthwise stage is its pointwise
@@ -323,10 +288,9 @@ bool pointwise_fuses_into(const Layer& pred, const Layer& layer) {
 }
 
 Netlist synth_dwconv(const CnnModel& model, const ModelImpl& impl, int layer_idx,
-                     bool fuse_relu, std::uint64_t seed_base) {
+                     bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   const LayerImpl& li = impl.layers[static_cast<std::size_t>(layer_idx)];
-  const std::uint64_t wseed = seed_base + static_cast<std::uint64_t>(layer_idx) * 2;
   DwConvParams p;
   p.name = layer.name;
   p.channels = layer.in_shape.c;
@@ -335,10 +299,8 @@ Netlist synth_dwconv(const CnnModel& model, const ModelImpl& impl, int layer_idx
   p.in_h = eff_h(layer, li);
   p.in_w = eff_w(layer, li);
   p.fuse_relu = fuse_relu || layer.fuse_relu;
-  const auto weights = synth_params(
-      static_cast<std::size_t>(layer.in_shape.c) * layer.kernel * layer.kernel, wseed);
-  const auto bias = synth_params(static_cast<std::size_t>(layer.in_shape.c), wseed + 1);
-  return make_dwconv_component(p, weights, bias);
+  const LayerParams params = layer_params(model, static_cast<std::size_t>(layer_idx));
+  return make_dwconv_component(p, params.weights, params.bias);
 }
 
 LayerCycles cycles_dwconv(const Layer& layer, const LayerImpl&) {
@@ -375,17 +337,17 @@ void infer_gavgpool(const std::vector<Layer>&, Layer& layer) {
 }
 
 Tensor golden_avgpool_layer(const CnnModel& model, std::size_t i,
-                            const std::vector<const Tensor*>& ins, std::uint64_t) {
+                            const std::vector<const Tensor*>& ins) {
   return golden_avgpool(*ins[0], model.layers()[i].kernel);
 }
 
 Tensor golden_gavgpool_layer(const CnnModel&, std::size_t,
-                             const std::vector<const Tensor*>& ins, std::uint64_t) {
+                             const std::vector<const Tensor*>& ins) {
   return golden_global_avgpool(*ins[0]);
 }
 
 Netlist synth_avgpool(const CnnModel& model, const ModelImpl& impl, int layer_idx,
-                      bool fuse_relu, std::uint64_t) {
+                      bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   const LayerImpl& li = impl.layers[static_cast<std::size_t>(layer_idx)];
   AvgPoolParams p;
@@ -399,8 +361,7 @@ Netlist synth_avgpool(const CnnModel& model, const ModelImpl& impl, int layer_id
   return make_avgpool_component(p);
 }
 
-Netlist synth_gavgpool(const CnnModel& model, const ModelImpl&, int layer_idx,
-                       bool fuse_relu, std::uint64_t) {
+Netlist synth_gavgpool(const CnnModel& model, const ModelImpl&, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   AvgPoolParams p;
   p.name = layer.name;
@@ -429,12 +390,11 @@ void infer_upsample(const std::vector<Layer>&, Layer& layer) {
 }
 
 Tensor golden_upsample_layer(const CnnModel& model, std::size_t i,
-                             const std::vector<const Tensor*>& ins, std::uint64_t) {
+                             const std::vector<const Tensor*>& ins) {
   return golden_upsample_nn(*ins[0], model.layers()[i].kernel);
 }
 
-Netlist synth_upsample(const CnnModel& model, const ModelImpl&, int layer_idx,
-                       bool fuse_relu, std::uint64_t) {
+Netlist synth_upsample(const CnnModel& model, const ModelImpl&, int layer_idx, bool fuse_relu) {
   const Layer& layer = at(model, layer_idx);
   return make_upsample_component(layer.name, layer.in_shape.c, layer.in_shape.h,
                                  layer.in_shape.w, layer.kernel,
@@ -535,14 +495,13 @@ std::vector<LayerTraits> make_registry() {
     LayerTraits& t = traits[static_cast<std::size_t>(LayerKind::kConv)];
     t.kind = LayerKind::kConv;
     t.keyword = "conv";
-    t.weighted = true;
     t.uses_dsp_budget = true;
     t.stats_bucket = StatsBucket::kConv;
     t.tile = TilePolicy::kConvLike;
     t.parse_check = check_conv;
     t.emit = emit_conv;
     t.infer = infer_conv;
-    t.weight_count = conv_weight_count;
+    t.params = conv_params;
     t.mac_count = conv_mac_count;
     t.fuses_into = pointwise_fuses_into;
     t.golden = golden_conv;
@@ -577,14 +536,13 @@ std::vector<LayerTraits> make_registry() {
     LayerTraits& t = traits[static_cast<std::size_t>(LayerKind::kFc)];
     t.kind = LayerKind::kFc;
     t.keyword = "fc";
-    t.weighted = true;
     t.uses_dsp_budget = true;
     t.flatten_input = true;
     t.stats_bucket = StatsBucket::kFc;
     t.parse_check = check_fc;
     t.emit = emit_fc;
     t.infer = infer_fc;
-    t.weight_count = fc_weight_count;
+    t.params = fc_params;
     t.mac_count = fc_mac_count;
     t.golden = golden_fc_layer;
     t.synth = synth_fc;
@@ -616,13 +574,12 @@ std::vector<LayerTraits> make_registry() {
     LayerTraits& t = traits[static_cast<std::size_t>(LayerKind::kDwConv)];
     t.kind = LayerKind::kDwConv;
     t.keyword = "dwconv";
-    t.weighted = true;  // one filter per channel, still baked into ROM
     t.stats_bucket = StatsBucket::kConv;
     t.tile = TilePolicy::kConvLike;
     t.parse_check = check_dwconv;
     t.emit = emit_dwconv;
     t.infer = infer_dwconv;
-    t.weight_count = dwconv_weight_count;
+    t.params = dwconv_params;
     t.mac_count = dwconv_mac_count;
     t.golden = golden_dwconv;
     t.synth = synth_dwconv;

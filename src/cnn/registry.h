@@ -18,6 +18,12 @@
 
 namespace fpgasim {
 
+/// Synthesized parameter counts of one layer (layer_params draws them).
+struct ParamCounts {
+  std::size_t weights = 0;
+  std::size_t bias = 0;
+};
+
 /// Which Table-I column a layer's weights/MACs are charged to.
 enum class StatsBucket { kNone, kConv, kFc };
 
@@ -35,8 +41,6 @@ struct LayerTraits {
   bool source = false;        // the model-input pseudo layer
   bool join = false;          // multi-input element-wise join (>= 2 from=)
   bool activation = false;    // pure activation, fusable into a predecessor
-  bool weighted = false;      // carries synthesized parameters (`_w` in
-                              // checkpoint signatures when materialized)
   bool uses_dsp_budget = false;  // participates in the MAC-share DSP split
   bool flatten_input = false;    // parallelism over the flattened volume (FC)
   StatsBucket stats_bucket = StatsBucket::kNone;
@@ -52,8 +56,11 @@ struct LayerTraits {
   /// out_shape; fills out_shape and validates (throws std::runtime_error).
   /// Null for the source kind (handled generically).
   void (*infer)(const std::vector<Layer>& layers, Layer& layer) = nullptr;
-  /// Parameter / MAC accounting; null means zero.
-  long (*weight_count)(const Layer&) = nullptr;
+  /// Weight and bias counts of a layer that carries synthesized
+  /// parameters (`_w` in checkpoint signatures when materialized). Null
+  /// for a kind without weights.
+  ParamCounts (*params)(const Layer&) = nullptr;
+  /// MAC accounting; null means zero.
   long (*mac_count)(const Layer&) = nullptr;
   /// Grouping: true when this layer may fuse into the tail `pred` of its
   /// predecessor group (no memory controller between them). Null = never.
@@ -63,11 +70,11 @@ struct LayerTraits {
   /// `inputs` edge order). Applies the layer's own arithmetic only; the
   /// caller layers fuse_relu on top. Null for the source kind.
   Tensor (*golden)(const CnnModel& model, std::size_t layer_index,
-                   const std::vector<const Tensor*>& ins, std::uint64_t seed_base) = nullptr;
+                   const std::vector<const Tensor*>& ins) = nullptr;
   /// Synthesis kernel factory (component netlist for one layer). Null
   /// marks the kind not synthesizable (the source kind).
   Netlist (*synth)(const CnnModel& model, const ModelImpl& impl, int layer_index,
-                   bool fuse_relu, std::uint64_t seed_base) = nullptr;
+                   bool fuse_relu) = nullptr;
   /// Latency model contribution; null means all-zero cycles.
   LayerCycles (*cycles)(const Layer&, const LayerImpl&) = nullptr;
 };

@@ -44,7 +44,7 @@ struct DrcContext {
   const Device* device = nullptr;
   const Checkpoint* checkpoint = nullptr;
   std::vector<InstanceRange> instances;
-  int channel_capacity = 14;  // routing overuse threshold (RouteOptions)
+  int channel_capacity = kChannelCapacity;  // routing overuse threshold
   int tile_spill_radius = 3;  // tiles a wide cell may legally spread over
 };
 

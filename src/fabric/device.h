@@ -17,6 +17,10 @@
 
 namespace fpgasim {
 
+/// Interconnect wires per tile edge per direction: the router's channel
+/// capacity and the DRC's overuse threshold (RouteOptions, DrcContext).
+inline constexpr int kChannelCapacity = 14;
+
 enum class ColumnType : std::uint8_t { kClb = 0, kDsp = 1, kBram = 2, kIo = 3 };
 
 const char* to_string(ColumnType type);

@@ -18,14 +18,13 @@ bool fused_relu_follows(const CnnModel& model, const std::vector<int>& group,
   return layer_traits(next.kind).activation;
 }
 
-Netlist build_layer(const CnnModel& model, const ModelImpl& impl, int layer_idx,
-                    bool fuse_relu, std::uint64_t seed_base) {
+Netlist build_layer(const CnnModel& model, const ModelImpl& impl, int layer_idx, bool fuse_relu) {
   const Layer& layer = model.layers()[static_cast<std::size_t>(layer_idx)];
   const auto synth = layer_traits(layer.kind).synth;
   if (synth == nullptr) {
     throw std::runtime_error("build_layer: layer '" + layer.name + "' is not synthesizable");
   }
-  return synth(model, impl, layer_idx, fuse_relu, seed_base);
+  return synth(model, impl, layer_idx, fuse_relu);
 }
 
 }  // namespace
@@ -81,13 +80,12 @@ std::string group_name(const CnnModel& model, const std::vector<int>& group) {
 }
 
 Netlist build_group_netlist(const CnnModel& model, const ModelImpl& impl,
-                            const std::vector<int>& group, std::uint64_t seed_base) {
+                            const std::vector<int>& group) {
   std::vector<Netlist> stages;
   for (std::size_t pos = 0; pos < group.size(); ++pos) {
     const Layer& layer = model.layers()[static_cast<std::size_t>(group[pos])];
     if (layer_traits(layer.kind).activation && pos > 0) continue;  // fused into predecessor
-    stages.push_back(
-        build_layer(model, impl, group[pos], fused_relu_follows(model, group, pos), seed_base));
+    stages.push_back(build_layer(model, impl, group[pos], fused_relu_follows(model, group, pos)));
   }
   const std::string name = group_name(model, group);
   if (stages.size() == 1) {
@@ -101,7 +99,7 @@ Netlist build_group_netlist(const CnnModel& model, const ModelImpl& impl,
 }
 
 std::string group_signature(const CnnModel& model, const ModelImpl& impl,
-                            const std::vector<int>& group, std::uint64_t seed_base) {
+                            const std::vector<int>& group) {
   std::ostringstream os;
   for (std::size_t pos = 0; pos < group.size(); ++pos) {
     const Layer& layer = model.layers()[static_cast<std::size_t>(group[pos])];
@@ -127,17 +125,15 @@ std::string group_signature(const CnnModel& model, const ModelImpl& impl,
     if (layer.fuse_relu || fused_relu_follows(model, group, pos)) os << "_r";
     // Materialized ROMs bake layer-specific weights into the checkpoint,
     // so the seed becomes part of the identity.
-    if (traits.weighted && li.materialize) {
-      os << "_w" << seed_base + static_cast<std::uint64_t>(group[pos]) * 2;
+    if (traits.params != nullptr && li.materialize) {
+      os << "_w" << layer_seed(static_cast<std::size_t>(group[pos]));
     }
   }
   return os.str();
 }
 
-std::vector<ComponentRequest> component_requests(const CnnModel& model,
-                                                 const ModelImpl& impl,
-                                                 const std::vector<std::vector<int>>& groups,
-                                                 std::uint64_t seed_base) {
+std::vector<ComponentRequest> component_requests(const CnnModel& model, const ModelImpl& impl,
+                                                 const std::vector<std::vector<int>>& groups) {
   // Deduplicate signatures: replicated layers collapse to one request.
   std::vector<ComponentRequest> requests;
   const auto queued = [&requests](const std::string& key) {
@@ -147,7 +143,7 @@ std::vector<ComponentRequest> component_requests(const CnnModel& model,
     return false;
   };
   for (const auto& group : groups) {
-    std::string key = group_signature(model, impl, group, seed_base);
+    std::string key = group_signature(model, impl, group);
     if (queued(key)) continue;
     requests.push_back(ComponentRequest{std::move(key), &group, 0});
   }
@@ -162,8 +158,7 @@ std::vector<ComponentRequest> component_requests(const CnnModel& model,
 }
 
 Netlist build_component_netlist(const CnnModel& model, const ModelImpl& impl,
-                                const ComponentRequest& request,
-                                std::uint64_t seed_base) {
+                                const ComponentRequest& request) {
   if (request.fork_branches > 0) {
     return make_stream_fork(request.key, request.fork_branches);
   }
@@ -171,19 +166,17 @@ Netlist build_component_netlist(const CnnModel& model, const ModelImpl& impl,
     throw std::invalid_argument("build_component_netlist: request '" + request.key +
                                 "' has neither a group nor fork branches");
   }
-  return build_group_netlist(model, impl, *request.group, seed_base);
+  return build_group_netlist(model, impl, *request.group);
 }
 
 Netlist build_flat_netlist(const CnnModel& model, const ModelImpl& impl,
-                           const std::vector<std::vector<int>>& groups,
-                           std::uint64_t seed_base) {
+                           const std::vector<std::vector<int>>& groups) {
   const ComponentDfg dfg = expand_group_graph(build_group_graph(model, groups));
   Composer composer(model.name() + "_flat");
   for (const ComponentDfg::Node& node : dfg.nodes) {
     const Netlist component =
         node.group_index >= 0
-            ? build_group_netlist(model, impl,
-                                  groups[static_cast<std::size_t>(node.group_index)], seed_base)
+            ? build_group_netlist(model, impl, groups[static_cast<std::size_t>(node.group_index)])
             : make_stream_fork(fork_signature(node.branches), node.branches);
     composer.add_instance(component, component.name());
   }

@@ -45,16 +45,17 @@ std::string fork_signature(int branches);
 std::string group_name(const CnnModel& model, const std::vector<int>& group);
 
 /// Synthesizes the netlist of one component group (conv/pool/fc layers,
-/// relus fused). Weight seeds follow reference_inference so functional
-/// simulation of the composed accelerator matches the golden model.
+/// relus fused). Weights come from layer_params, as in reference_inference,
+/// so functional simulation of the composed accelerator matches the golden
+/// model.
 Netlist build_group_netlist(const CnnModel& model, const ModelImpl& impl,
-                            const std::vector<int>& group, std::uint64_t seed_base = 1000);
+                            const std::vector<int>& group);
 
 /// Signature used as the checkpoint-store key. Identical layer
 /// configurations (e.g. VGG's replicated 3x3 convolutions) share one
 /// signature and therefore one pre-implemented checkpoint.
 std::string group_signature(const CnnModel& model, const ModelImpl& impl,
-                            const std::vector<int>& group, std::uint64_t seed_base = 1000);
+                            const std::vector<int>& group);
 
 /// One component a grouping needs from the checkpoint store: either a layer
 /// group (`group` non-null, pointing into the caller's grouping — which
@@ -73,21 +74,17 @@ struct ComponentRequest {
 /// source-group order. This is the single source of truth for "what must
 /// exist before the pre-implemented flow can stitch": the CompileService
 /// plans from it.
-std::vector<ComponentRequest> component_requests(const CnnModel& model,
-                                                 const ModelImpl& impl,
-                                                 const std::vector<std::vector<int>>& groups,
-                                                 std::uint64_t seed_base = 1000);
+std::vector<ComponentRequest> component_requests(const CnnModel& model, const ModelImpl& impl,
+                                                 const std::vector<std::vector<int>>& groups);
 
 /// Synthesizes the netlist of one request (group or stream fork).
 Netlist build_component_netlist(const CnnModel& model, const ModelImpl& impl,
-                                const ComponentRequest& request,
-                                std::uint64_t seed_base = 1000);
+                                const ComponentRequest& request);
 
 /// Synthesizes the whole model as one flat netlist (the baseline flow's
 /// input): all group netlists (plus stream forks for branching models)
 /// stitched along the component DAG.
 Netlist build_flat_netlist(const CnnModel& model, const ModelImpl& impl,
-                           const std::vector<std::vector<int>>& groups,
-                           std::uint64_t seed_base = 1000);
+                           const std::vector<std::vector<int>>& groups);
 
 }  // namespace fpgasim

@@ -15,7 +15,6 @@ void run_gate(const GateSubject& subject, unsigned stages, const char* after,
   ctx.phys = &subject.phys;
   ctx.device = &subject.device;
   ctx.instances = subject.instances;
-  ctx.channel_capacity = subject.channel_capacity;
   drc = run_drc(ctx, stages);
   drc_seconds += watch.seconds();
   enforce(drc, std::string(subject.flow) + " after " + after);

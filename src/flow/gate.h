@@ -20,7 +20,6 @@ struct GateSubject {
   const Netlist& netlist;
   const PhysState& phys;
   const std::vector<InstanceRange>& instances;
-  int channel_capacity;  // routing overuse threshold (RouteOptions)
 };
 
 /// Runs the DRC rules of `stages` into `drc`, adds its wall time to

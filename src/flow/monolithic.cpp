@@ -14,6 +14,8 @@ namespace {
 
 constexpr double kMovesPerItem = 160.0;  // SA effort (per cluster)
 constexpr std::size_t kReplicationFanout = 48;  // duplicate drivers above this fanout
+// Placement and the full route run at their default seed (1).
+constexpr std::uint64_t kRerouteSeed = 2;  // incremental reroute after phys-opt
 
 TileCoord midpoint(TileCoord a, TileCoord b) {
   return TileCoord{(a.x + b.x) / 2, (a.y + b.y) / 2};
@@ -27,8 +29,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   Stopwatch total;
 
   const std::vector<InstanceRange> flat;  // one flat design, no instances
-  const GateSubject gate{"monolithic", device, netlist, phys, flat,
-                         opt.route.channel_capacity};
+  const GateSubject gate{"monolithic", device, netlist, phys, flat};
 
   // Clustering + placement over the whole device.
   Stopwatch stage;
@@ -49,7 +50,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
                                  : Pblock{0, 0, device.width() - 1, device.height() - 1};
   sa.bin_tiles = 4;
   sa.moves_per_item = kMovesPerItem;
-  sa.seed = opt.seed;
   const SaResult placement = place_sa(device, items, nets, sa);
   assign_cells_to_tiles(device, netlist, clustering, placement, sa, phys);
   report.place_seconds = stage.seconds();
@@ -58,9 +58,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
 
   // Full routing.
   stage.restart();
-  RouteOptions route_opt = opt.route;
-  route_opt.seed = opt.seed;
-  report.route = route_design(device, netlist, phys, route_opt);
+  report.route = route_design(device, netlist, phys, RouteOptions{});
   report.route_seconds = stage.seconds();
 
   stage.restart();
@@ -165,9 +163,9 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
 
     // Incremental reroute of the modified nets + final STA.
     if (report.inserted_ffs > 0 || report.replicated_drivers > 0) {
-      RouteOptions rr = opt.route;
-      rr.seed = opt.seed + 1;
-      report.route = route_design(device, netlist, phys, rr);
+      RouteOptions reroute;
+      reroute.seed = kRerouteSeed;
+      report.route = route_design(device, netlist, phys, reroute);
       report.timing = run_sta(netlist, phys, device);
     }
   }

@@ -16,12 +16,11 @@
 
 namespace fpgasim {
 
-/// The DRC gates after placement and routing always run.
+/// The DRC gates after placement and routing always run; placement and
+/// routing use seed 1, the post-phys-opt reroute seed 2.
 struct MonoOptions {
-  std::uint64_t seed = 1;
   int cluster_size = 24;
   bool phys_opt = true;
-  RouteOptions route;
 };
 
 struct MonoReport {

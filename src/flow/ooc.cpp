@@ -6,7 +6,6 @@
 #include "place/place.h"
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace fpgasim {
 namespace {
@@ -60,7 +59,6 @@ std::vector<TileCoord> plan_partition_pins(const Netlist& netlist, const Pblock&
 }  // namespace
 
 OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions& opt) {
-  Stopwatch watch;
   const NetlistStats stats = netlist.stats();
   const ResourceVec need = scale(stats.resources, opt.pblock_slack);
 
@@ -152,7 +150,6 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
   best.checkpoint.netlist = std::move(netlist);
   best.checkpoint.meta.fmax_mhz = best.timing.fmax_mhz;
   best.checkpoint.meta.critical_path_ns = best.timing.critical_path_ns;
-  best.checkpoint.meta.implement_seconds = watch.seconds();
   best.checkpoint.meta.strategy = "aspect_" + std::to_string(best.strategy);
   best.checkpoint.meta.device = device.name();
   return best;

@@ -11,15 +11,14 @@
 namespace fpgasim {
 
 PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph,
-                               ComposedDesign& out, const PreImplOptions& opt) {
+                               ComposedDesign& out) {
   if (graph.nodes.empty()) throw std::invalid_argument("run_preimpl_flow: empty graph");
   const int output_node =
       graph.output_node >= 0 ? graph.output_node : static_cast<int>(graph.nodes.size()) - 1;
   PreImplReport report;
   Stopwatch total;
 
-  const GateSubject gate{"preimpl", device, out.netlist, out.phys, out.instances,
-                         opt.route.channel_capacity};
+  const GateSubject gate{"preimpl", device, out.netlist, out.phys, out.instances};
 
   // Architecture composition: fill black boxes, insert the stream nets.
   Stopwatch stage;
@@ -43,9 +42,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
 
   // Component placement: relocation of locked pblocks (Algorithm 1).
   stage.restart();
-  MacroPlaceOptions macro_opt = opt.macro;
-  macro_opt.seed = opt.seed;
-  report.macro = place_macros(device, out.macro_items(), out.macro_nets, macro_opt);
+  report.macro = place_macros(device, out.macro_items(), out.macro_nets, MacroPlaceOptions{});
   if (!report.macro.success) {
     throw std::runtime_error("pre-implemented flow: " + report.macro.error);
   }
@@ -60,9 +57,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   // Inter-component routing: only the stitched nets are open; everything
   // inside the components is locked and merely charges wire usage.
   stage.restart();
-  RouteOptions route_opt = opt.route;
-  route_opt.seed = opt.seed;
-  report.route = route_design(device, out.netlist, out.phys, route_opt);
+  report.route = route_design(device, out.netlist, out.phys, RouteOptions{});
   if (!report.route.success) {
     throw std::runtime_error("pre-implemented flow: routing failed: " + report.route.error);
   }
@@ -82,8 +77,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
 PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
                               const ModelImpl& impl,
                               const std::vector<std::vector<int>>& groups,
-                              const ComponentLookup& lookup, ComposedDesign& out,
-                              const PreImplOptions& opt, std::uint64_t seed_base) {
+                              const ComponentLookup& lookup, ComposedDesign& out) {
   // Component extraction + matching (BFS over the DFG): every group and
   // every required stream fork must resolve to a pre-built checkpoint.
   const GroupGraph group_graph = build_group_graph(model, groups);
@@ -93,7 +87,7 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
     const ComponentDfg::Node& node = dfg.nodes[n];
     if (node.group_index >= 0) {
       const std::vector<int>& group = groups[static_cast<std::size_t>(node.group_index)];
-      const std::string key = group_signature(model, impl, group, seed_base);
+      const std::string key = group_signature(model, impl, group);
       const Checkpoint* checkpoint = lookup(key);
       if (checkpoint == nullptr) {
         // Spell out which layers the unmatched group contains: the
@@ -132,7 +126,7 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
   graph.edges = dfg.edges;
   graph.input_node = dfg.input_node;
   graph.output_node = dfg.output_node;
-  return run_preimpl_flow(device, graph, out, opt);
+  return run_preimpl_flow(device, graph, out);
 }
 
 }  // namespace fpgasim

@@ -19,13 +19,6 @@
 
 namespace fpgasim {
 
-/// The DRC gates after compose, placement and routing always run.
-struct PreImplOptions {
-  std::uint64_t seed = 1;
-  MacroPlaceOptions macro;
-  RouteOptions route;
-};
-
 struct PreImplReport {
   // Architecture-optimization stage times (online).
   double stitch_seconds = 0.0;  // extraction + matching + composition
@@ -69,11 +62,12 @@ struct ComponentGraph {
 
 /// Runs the pre-implemented flow over a component DAG: black-box stitching
 /// along the stream edges, relocation placement over the real DFG
-/// macro-nets, inter-component routing, STA — each stage DRC-gated. The
-/// composed design is returned through `out` for further use (simulation,
-/// inspection).
+/// macro-nets, inter-component routing, STA — each stage DRC-gated (after
+/// compose, placement and routing). Placement and routing run at their
+/// default options (seed 1). The composed design is returned through `out`
+/// for further use (simulation, inspection).
 PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph,
-                               ComposedDesign& out, const PreImplOptions& opt = {});
+                               ComposedDesign& out);
 
 /// Component source for run_preimpl_cnn: resolves a store key
 /// (group_signature / fork_signature) to a pre-implemented checkpoint, or
@@ -88,8 +82,6 @@ using ComponentLookup = std::function<const Checkpoint*(const std::string& key)>
 PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
                               const ModelImpl& impl,
                               const std::vector<std::vector<int>>& groups,
-                              const ComponentLookup& lookup, ComposedDesign& out,
-                              const PreImplOptions& opt = {},
-                              std::uint64_t seed_base = 1000);
+                              const ComponentLookup& lookup, ComposedDesign& out);
 
 }  // namespace fpgasim

@@ -10,9 +10,8 @@
 
 namespace fpgasim {
 
-CompileService::CompileService(const Device& device, CheckpointStore& store,
-                               ServiceOptions opt)
-    : device_(device), store_(store), opt_(opt) {}
+CompileService::CompileService(const Device& device, CheckpointStore& store, ThreadPool* pool)
+    : device_(device), store_(store), pool_(pool) {}
 
 std::uint64_t CompileService::component_seed(const OocOptions& base, const Hash128& hash) {
   return Hasher().u64(base.seed).u64(hash.hi).u64(hash.lo).digest().lo;
@@ -20,14 +19,12 @@ std::uint64_t CompileService::component_seed(const OocOptions& base, const Hash1
 
 CompileService::SessionResult CompileService::compile(
     const CnnModel& model, const ModelImpl& impl,
-    const std::vector<std::vector<int>>& groups, const PreImplOptions& opt,
-    std::uint64_t seed_base) {
+    const std::vector<std::vector<int>>& groups) {
   SessionResult session;
   Stopwatch wall;
 
   // Plan: the unique components this model needs, in deterministic order.
-  const std::vector<ComponentRequest> requests =
-      component_requests(model, impl, groups, seed_base);
+  const std::vector<ComponentRequest> requests = component_requests(model, impl, groups);
   session.components = requests.size();
 
   // Resolve every component through the store's claim ladder: a
@@ -58,10 +55,10 @@ CompileService::SessionResult CompileService::compile(
         const ComponentRequest& request = requests[owned[c]];
         CheckpointStore::Resolution& slot = found[owned[c]];
         try {
-          Netlist netlist = build_component_netlist(model, impl, request, seed_base);
-          OocOptions local = opt_.ooc;
-          local.seed = component_seed(opt_.ooc, slot.claim->hash());
-          OocResult result = implement_ooc(device_, std::move(netlist), local);
+          OocOptions ooc;
+          ooc.seed = component_seed(ooc, slot.claim->hash());
+          OocResult result =
+              implement_ooc(device_, build_component_netlist(model, impl, request), ooc);
           // A freshly built component must pass the full checkpoint DRC
           // before it becomes shared store content.
           enforce(run_checkpoint_drc(result.checkpoint, &device_),
@@ -72,7 +69,7 @@ CompileService::SessionResult CompileService::compile(
           slot.claim->fail(build_errors[c]);
         }
       },
-      opt_.pool);
+      pool_);
   for (const std::exception_ptr& error : build_errors) {
     if (error) std::rethrow_exception(error);
   }
@@ -98,7 +95,7 @@ CompileService::SessionResult CompileService::compile(
         const auto it = by_key.find(key);
         return it == by_key.end() ? nullptr : it->second;
       },
-      session.design, opt, seed_base);
+      session.design);
 
   sessions_.fetch_add(1, std::memory_order_relaxed);
   resolved_.fetch_add(session.components, std::memory_order_relaxed);

@@ -28,18 +28,11 @@
 
 namespace fpgasim {
 
-struct ServiceOptions {
-  /// Function-optimization knobs for component builds. The seed field is
-  /// a base that is mixed with each component's content hash; see
-  /// component_seed().
-  OocOptions ooc;
-  /// Pool the batched component builds run on (global pool when null).
-  ThreadPool* pool = nullptr;
-};
-
 class CompileService {
  public:
-  CompileService(const Device& device, CheckpointStore& store, ServiceOptions opt = {});
+  /// Component builds run at OocOptions{} with a content-derived seed (see
+  /// component_seed()) on `pool` (the global pool when null).
+  CompileService(const Device& device, CheckpointStore& store, ThreadPool* pool = nullptr);
 
   CompileService(const CompileService&) = delete;
   CompileService& operator=(const CompileService&) = delete;
@@ -60,8 +53,7 @@ class CompileService {
   /// not be called from a worker of the build pool (a session blocks on
   /// futures its own pool may be executing).
   SessionResult compile(const CnnModel& model, const ModelImpl& impl,
-                        const std::vector<std::vector<int>>& groups,
-                        const PreImplOptions& opt = {}, std::uint64_t seed_base = 1000);
+                        const std::vector<std::vector<int>>& groups);
 
   /// Process-wide counters across all sessions of this service.
   struct Stats {
@@ -80,7 +72,7 @@ class CompileService {
  private:
   const Device& device_;
   CheckpointStore& store_;
-  ServiceOptions opt_;
+  ThreadPool* pool_;
 
   std::atomic<std::uint64_t> sessions_{0}, resolved_{0}, store_hits_{0}, built_{0},
       dedup_waits_{0};

@@ -20,8 +20,9 @@
 // All analyses are deterministic: single-threaded, iteration in index
 // order, findings emitted in (rule registration, cell/net id) order — the
 // report (and its JSON rendering) is byte-identical for any FPGASIM_THREADS
-// width. Used as an opt-in gate by both flows and the checkpoint database,
-// and standalone by tools/fpgalint.
+// width. Callers run it directly (lint::run) on the netlists they want
+// checked: tools/fpgalint, fpgadb verify and the zoo_accelerator example;
+// neither flow nor the checkpoint store lints on its own.
 #pragma once
 
 #include <string>

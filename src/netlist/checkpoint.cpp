@@ -171,7 +171,7 @@ std::string encode_checkpoint(const Checkpoint& cp) {
   w.i32(cp.pblock.y1);
   w.f64(cp.meta.fmax_mhz);
   w.f64(cp.meta.critical_path_ns);
-  w.f64(cp.meta.implement_seconds);
+  w.f64(0.0);  // retired wall-time slot: a checkpoint's bytes depend on its content alone
   w.str(cp.meta.strategy);
   w.str(cp.meta.device);
   w.u32(static_cast<std::uint32_t>(cp.port_pins.size()));
@@ -286,7 +286,7 @@ Checkpoint load_checkpoint(const std::string& path) {
   cp.pblock.y1 = r.i32();
   cp.meta.fmax_mhz = r.f64();
   cp.meta.critical_path_ns = r.f64();
-  cp.meta.implement_seconds = r.f64();
+  r.f64();  // retired wall-time slot
   cp.meta.strategy = r.str();
   cp.meta.device = r.str();
   if (version >= 3) {

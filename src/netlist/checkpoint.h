@@ -15,9 +15,8 @@ namespace fpgasim {
 struct CheckpointMeta {
   double fmax_mhz = 0.0;
   double critical_path_ns = 0.0;
-  double implement_seconds = 0.0;  // function-optimization wall time
-  std::string strategy;            // winning exploration strategy label
-  std::string device;              // device the pblock refers to
+  std::string strategy;  // winning exploration strategy label
+  std::string device;    // device the pblock refers to
 };
 
 struct Checkpoint {

@@ -36,7 +36,7 @@ namespace fpgasim {
 inline constexpr double kCongestionDelayFactor = 0.25;
 
 struct RouteOptions {
-  int channel_capacity = 14;  // wires per tile edge per direction
+  int channel_capacity = kChannelCapacity;  // wires per tile edge per direction
   int max_iterations = 18;    // PathFinder negotiation rounds
   double history_factor = 0.35;
   std::uint64_t seed = 1;

@@ -32,7 +32,6 @@ Checkpoint make_sample() {
   cp.pblock = Pblock{2, 2, 8, 10};
   cp.meta.fmax_mhz = 512.5;
   cp.meta.critical_path_ns = 1.95;
-  cp.meta.implement_seconds = 3.25;
   cp.meta.strategy = "aspect_1";
   cp.meta.device = "xcku5p_sim";
   return cp;

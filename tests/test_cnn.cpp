@@ -363,6 +363,27 @@ TEST(ReferenceInference, DeterministicAndShaped) {
   EXPECT_EQ(a, b);
 }
 
+TEST(ReferenceInference, RejectsAnInputOfTheWrongShape) {
+  const CnnModel model = make_lenet5();
+  EXPECT_THROW(reference_inference(model, Tensor::zeros(2, 32, 32)), std::invalid_argument);
+  EXPECT_THROW(reference_inference(model, Tensor::zeros(1, 28, 28)), std::invalid_argument);
+}
+
+TEST(LayerParams, OneSeedRulePerLayer) {
+  const CnnModel model = make_lenet5();
+  // conv1: 6 filters of 1x5x5, seeded 1000 + 2 * 1, bias from the next seed.
+  const LayerParams conv1 = layer_params(model, 1);
+  EXPECT_EQ(layer_seed(1), 1002u);
+  EXPECT_EQ(conv1.weights, synth_params(150, 1002));
+  EXPECT_EQ(conv1.bias, synth_params(6, 1003));
+  for (std::size_t i = 0; i < model.layers().size(); ++i) {
+    const LayerParams params = layer_params(model, i);
+    EXPECT_EQ(static_cast<long>(params.weights.size() + params.bias.size()),
+              model.layers()[i].weights())
+        << model.layers()[i].name;
+  }
+}
+
 TEST(SynthParams, SeededAndBounded) {
   const auto a = synth_params(64, 5);
   const auto b = synth_params(64, 5);

@@ -10,6 +10,7 @@
 #include "flow/service.h"
 #include "lint/lint.h"
 #include "stream_harness.h"
+#include "synth/builder.h"
 
 namespace fpgasim {
 namespace {
@@ -24,7 +25,7 @@ const ComponentLookup kNoComponents = [](const std::string&) -> const Checkpoint
 };
 
 /// A model compiled cold through a memory-only CompileService; `compile`
-/// re-runs the flow warm (every component a store hit) with other options.
+/// re-runs the flow warm (every component a store hit).
 struct ServiceFlow {
   Device device = make_xcku5p_sim();
   CnnModel model;
@@ -40,9 +41,7 @@ struct ServiceFlow {
     first = compile();
   }
 
-  CompileService::SessionResult compile(const PreImplOptions& opt = {}) {
-    return service.compile(model, impl, groups, opt);
-  }
+  CompileService::SessionResult compile() { return service.compile(model, impl, groups); }
 };
 
 struct MiniFlow : ServiceFlow {
@@ -363,14 +362,37 @@ TEST(Flows, ResblockMatchingErrorNamesTheGroupLayers) {
   }
 }
 
+/// One LUT driving 64 registers, more than phys-opt's replication fanout
+/// (48), so driver replication must fire.
+Netlist wide_fanout_netlist() {
+  NetlistBuilder b("fanout");
+  const NetId driver = b.xor2(b.in_port("a", 8), b.in_port("b", 8), 8);
+  std::vector<NetId> regs;
+  for (int i = 0; i < 64; ++i) {
+    regs.push_back(b.ff(driver, kInvalidNet, 8, "r" + std::to_string(i)));
+  }
+  b.out_port("sum", b.adder_tree(regs, 8));
+  return std::move(b).take();
+}
+
+TEST(Flows, PhysOptReplicatesAWideFanoutDriver) {
+  const Device device = make_xcku5p_sim();
+  Netlist netlist = wide_fanout_netlist();
+  PhysState phys;
+  const MonoReport mono = run_monolithic_flow(device, netlist, phys);
+  EXPECT_GE(mono.replicated_drivers, 1u);
+  EXPECT_TRUE(mono.route.success);
+  EXPECT_TRUE(mono.drc.clean()) << mono.drc.to_string();
+}
+
 TEST(Flows, PhysOptCanBeDisabled) {
-  MiniFlow f;
-  Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
-  const ResourceVec before = flat.stats().resources;
+  const Device device = make_xcku5p_sim();
+  Netlist netlist = wide_fanout_netlist();
+  const ResourceVec before = netlist.stats().resources;
   PhysState phys;
   MonoOptions opt;
   opt.phys_opt = false;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys, opt);
+  const MonoReport mono = run_monolithic_flow(device, netlist, phys, opt);
   EXPECT_EQ(mono.inserted_ffs, 0u);
   EXPECT_EQ(mono.replicated_drivers, 0u);
   EXPECT_EQ(mono.stats.resources, before);

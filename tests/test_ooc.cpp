@@ -29,7 +29,6 @@ TEST(OocFlow, ProducesLockedPlacedRoutedCheckpoint) {
   const Checkpoint& cp = result.checkpoint;
 
   EXPECT_GT(result.timing.fmax_mhz, 50.0);
-  EXPECT_GT(cp.meta.implement_seconds, 0.0);
   EXPECT_EQ(cp.meta.device, "xcku5p_sim");
   EXPECT_DOUBLE_EQ(cp.meta.fmax_mhz, result.timing.fmax_mhz);
 

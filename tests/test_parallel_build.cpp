@@ -1,27 +1,16 @@
 // Determinism contract of the parallel component build (CompileService):
 // every build-pool width must produce the same store entries, byte for
-// byte once the recorded wall-times — measurements, not results — are
-// normalized out. Seeds derive from each component's content hash alone,
-// so scheduling order cannot leak into the output.
+// byte. Seeds derive from each component's content hash alone, so
+// scheduling order cannot leak into the output.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "flow/build.h"
 #include "flow/service.h"
 
 namespace fpgasim {
 namespace {
-
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 struct ParallelBuildFixture {
   Device device = make_xcku5p_sim();
@@ -45,21 +34,14 @@ pool p2 k=2
   }
 
   /// Compiles the model into a fresh memory-only store on `width` build
-  /// workers and returns every entry's serialized bytes by store key, with
-  /// implement_seconds zeroed (wall time is the one legitimately
-  /// nondeterministic field of a checkpoint).
+  /// workers and returns every entry's `.fdcp` bytes by store key.
   std::map<std::string, std::string> build(std::size_t width) {
     ThreadPool pool(width);
     CheckpointStore store;
-    ServiceOptions opt;
-    opt.pool = &pool;
-    CompileService service(device, store, opt);
+    CompileService service(device, store, &pool);
     const CompileService::SessionResult session = service.compile(model, impl, groups);
     EXPECT_EQ(session.built, session.components) << "width " << width;
 
-    const std::filesystem::path file =
-        std::filesystem::path(::testing::TempDir()) /
-        ("fpgasim_par_entry_w" + std::to_string(width) + ".fdcp");
     std::map<std::string, std::string> entries;
     for (const ComponentRequest& request : component_requests(model, impl, groups)) {
       const auto checkpoint = store.get(request.key, device);
@@ -67,12 +49,8 @@ pool p2 k=2
         ADD_FAILURE() << "missing " << request.key << " at width " << width;
         continue;
       }
-      Checkpoint copy = *checkpoint;
-      copy.meta.implement_seconds = 0.0;
-      save_checkpoint(file.string(), copy);
-      entries[request.key] = slurp(file);
+      entries[request.key] = encode_checkpoint(*checkpoint);
     }
-    std::filesystem::remove(file);
     return entries;
   }
 

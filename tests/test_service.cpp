@@ -261,9 +261,7 @@ conv c1 out=16 k=3
   for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
     CheckpointStore store;
     ThreadPool pool(width);
-    ServiceOptions service_opt;
-    service_opt.pool = &pool;
-    CompileService service(device, store, service_opt);
+    CompileService service(device, store, &pool);
     // Sessions share one exception object. Each keeps its own reference
     // and the messages are read after the join, so the object is only
     // touched by one thread at a time.
@@ -330,9 +328,7 @@ TEST(CompileService, ConcurrentSessionsBuildEachSignatureOnce) {
     store_opt.dir = dir;
     CheckpointStore store(store_opt);
     ThreadPool pool(width);
-    ServiceOptions service_opt;
-    service_opt.pool = &pool;
-    CompileService service(fixture.device, store, service_opt);
+    CompileService service(fixture.device, store, &pool);
     const auto results = fixture.run_sessions(service, picks);
 
     const CompileService::Stats stats = service.stats();
@@ -379,9 +375,7 @@ TEST(CompileService, ConcurrentSessionsMatchSerialByteForByte) {
     store_opt.dir = dir;
     CheckpointStore store(store_opt);
     ThreadPool pool(width);
-    ServiceOptions service_opt;
-    service_opt.pool = &pool;
-    CompileService service(fixture.device, store, service_opt);
+    CompileService service(fixture.device, store, &pool);
     const auto results = fixture.run_sessions(service, picks);
     for (std::size_t s = 0; s < picks.size(); ++s) {
       EXPECT_EQ(design_fingerprint(results[s].design),

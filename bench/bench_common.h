@@ -44,7 +44,6 @@ struct NetworkRun {
   PreImplReport pre;
 
   MonoReport mono;
-  NetlistStats flat_stats;
 
   /// The pre-implemented checkpoint of one group.
   const Checkpoint* component(const std::vector<int>& group) const {
@@ -76,10 +75,46 @@ inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_bud
   }
 
   Netlist flat = build_flat_netlist(run.model, run.impl, run.groups);
-  run.flat_stats = flat.stats();
   PhysState phys;
   run.mono = run_monolithic_flow(device, flat, phys);
   return run;
+}
+
+/// The performance exploration of Table III / Fig. 7, printed from the flow
+/// report: each group instance with its component, OOC Fmax, cycles and
+/// latency at its own Fmax (in ms when `ms`, else us), then both networks
+/// at their achieved clocks, the paper's bound (composed Fmax <= slowest
+/// component) and the composed design's critical path. Returns the summed
+/// component cycles.
+inline long print_perf_table(const std::string& title, const NetworkRun& run, bool ms) {
+  const double us_per_unit = ms ? 1000.0 : 1.0;
+  Table table(title);
+  table.set_header({"instance", "component", "Fmax (MHz)", "cycles",
+                    ms ? "latency (ms @ own Fmax)" : "latency (us @ own Fmax)"});
+  long total_cycles = 0;
+  for (std::size_t g = 0; g < run.groups.size(); ++g) {
+    const InstanceRow& row = run.pre.instances[g];
+    const ComponentLatency lat = group_latency(run.model, run.impl, run.groups[g], row.fmax_mhz);
+    table.add_row({row.instance, row.component, Table::fmt(row.fmax_mhz, 1),
+                   std::to_string(lat.cycles), Table::fmt(lat.latency_us() / us_per_unit, 2)});
+    total_cycles += lat.cycles;
+  }
+  for (const auto& [network, mhz] :
+       {std::pair{"full network (classic)", run.mono.timing.fmax_mhz},
+        std::pair{"our work (pre-implemented)", run.pre.timing.fmax_mhz}}) {
+    table.add_row({network, "", Table::fmt(mhz, 1), std::to_string(total_cycles),
+                   Table::fmt(total_cycles / mhz / us_per_unit, 2)});
+  }
+  table.print();
+  const InstanceRow& slowest = *run.pre.slowest();
+  std::printf("composed Fmax %.1f <= slowest component %s %.1f MHz: %s\n",
+              run.pre.timing.fmax_mhz, slowest.instance.c_str(), slowest.fmax_mhz,
+              run.pre.timing.fmax_mhz <= slowest.fmax_mhz + 1.0 ? "bound holds"
+                                                                : "BOUND VIOLATED");
+  std::fputs(format_critical_path(run.pre.timing, run.composed.netlist, run.composed.instances)
+                 .c_str(),
+             stdout);
+  return total_cycles;
 }
 
 /// One interpreter-vs-compiled simulator measurement over a final netlist

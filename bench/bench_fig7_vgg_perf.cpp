@@ -16,31 +16,11 @@ int main(int argc, char** argv) {
   const Device device = make_xcku5p_sim();
   NetworkRun run = run_network(device, make_vgg16(), quick ? 384 : 1024, 14);
 
-  Table table("Fig. 7: VGG-16 performance exploration");
-  table.set_header({"component", "Fmax (MHz)", "latency (ms @ own Fmax)"});
-  double slowest = 0.0;
-  long total_cycles = 0;
-  for (const auto& group : run.groups) {
-    const Checkpoint* cp = run.component(group);
-    const ComponentLatency lat = group_latency(run.model, run.impl, group, cp->meta.fmax_mhz);
-    table.add_row({cp->netlist.name(), Table::fmt(cp->meta.fmax_mhz, 1),
-                   Table::fmt(lat.latency_us() / 1000.0, 3)});
-    if (slowest == 0.0 || cp->meta.fmax_mhz < slowest) slowest = cp->meta.fmax_mhz;
-    total_cycles += lat.cycles;
-  }
-  const double mono_ms = total_cycles / run.mono.timing.fmax_mhz / 1000.0;
-  const double pre_ms = total_cycles / run.pre.timing.fmax_mhz / 1000.0;
-  table.add_row({"VGG (classic)", Table::fmt(run.mono.timing.fmax_mhz, 1),
-                 Table::fmt(mono_ms, 2)});
-  table.add_row({"our work (pre-implemented)", Table::fmt(run.pre.timing.fmax_mhz, 1),
-                 Table::fmt(pre_ms, 2)});
-  table.print();
-
-  std::printf("Fmax gain %.2fx (paper 1.22x), latency ratio %.2fx (paper 1.02x), "
-              "composed %.1f <= slowest %.1f MHz: %s\n",
-              run.pre.timing.fmax_mhz / run.mono.timing.fmax_mhz, pre_ms / mono_ms,
-              run.pre.timing.fmax_mhz, slowest,
-              run.pre.timing.fmax_mhz <= slowest + 1.0 ? "bound holds" : "BOUND VIOLATED");
+  print_perf_table("Fig. 7: VGG-16 performance exploration", run, true);
+  // Latency is cycles / Fmax with the same cycles on both sides.
+  std::printf("Fmax gain %.2fx (paper 1.22x), latency ratio %.2fx (paper 1.02x)\n",
+              run.pre.timing.fmax_mhz / run.mono.timing.fmax_mhz,
+              run.mono.timing.fmax_mhz / run.pre.timing.fmax_mhz);
   std::puts("(paper components: 300-475 MHz, baseline VGG 200 MHz, composed 243 MHz;");
   std::puts(" fabric discontinuities around IO columns stretch VGG's datapaths, which");
   std::puts(" the routing model reproduces with its IO-column crossing penalty.)");

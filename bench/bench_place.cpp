@@ -45,7 +45,8 @@ Scenario vgg_chain() {
   const int widths[] = {8, 10, 12, 14};
   const int heights[] = {16, 20, 24, 32};
   for (int i = 0; i < 14; ++i) {
-    s.items.push_back(item("vgg" + std::to_string(i), widths[i % 4], heights[(i * 3) % 4]));
+    s.items.push_back(
+        item(std::string("vgg").append(std::to_string(i)), widths[i % 4], heights[(i * 3) % 4]));
     if (i > 0) edge(s, i - 1, i);
   }
   return s;
@@ -90,7 +91,7 @@ Scenario dense40() {
   for (int i = 0; i < count; ++i) {
     const int w = widths[rng.next_below(5)];
     const int h = heights[rng.next_below(4)];
-    s.items.push_back(item("d" + std::to_string(i), w, h));
+    s.items.push_back(item(std::string("d").append(std::to_string(i)), w, h));
     if (i > 0) edge(s, i - 1, i);
     if (i >= 3 && i % 3 == 0) edge(s, i - 3, i);
     if (i >= 5 && i % 5 == 0) s.nets.push_back(MacroNet{{i - 5, i - 2, i}, 1.0});

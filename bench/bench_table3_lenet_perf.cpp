@@ -17,31 +17,10 @@ int main(int argc, char** argv) {
   const Device device = make_xcku5p_sim();
   NetworkRun run = run_network(device, make_lenet5(), 200);
 
-  Table table("Table III: LeNet performance exploration");
-  table.set_header({"component", "Fmax (MHz)", "cycles", "latency (us @ own Fmax)"});
-  double slowest = 0.0;
-  long total_cycles = 0;
-  for (const auto& group : run.groups) {
-    const Checkpoint* cp = run.component(group);
-    const ComponentLatency lat = group_latency(run.model, run.impl, group, cp->meta.fmax_mhz);
-    table.add_row({cp->netlist.name(), Table::fmt(cp->meta.fmax_mhz, 1),
-                   std::to_string(lat.cycles), Table::fmt(lat.latency_us(), 2)});
-    if (slowest == 0.0 || cp->meta.fmax_mhz < slowest) slowest = cp->meta.fmax_mhz;
-    total_cycles += lat.cycles;
-  }
-  table.add_row({"full network (classic)", Table::fmt(run.mono.timing.fmax_mhz, 1),
-                 std::to_string(total_cycles),
-                 Table::fmt(total_cycles / run.mono.timing.fmax_mhz, 2)});
-  table.add_row({"our work (pre-implemented)", Table::fmt(run.pre.timing.fmax_mhz, 1),
-                 std::to_string(total_cycles),
-                 Table::fmt(total_cycles / run.pre.timing.fmax_mhz, 2)});
-  table.print();
-
-  const double gain = run.pre.timing.fmax_mhz / run.mono.timing.fmax_mhz;
-  std::printf("Fmax gain: %.2fx (paper: 1.75x); composed Fmax %.1f <= slowest component"
-              " %.1f MHz: %s\n",
-              gain, run.pre.timing.fmax_mhz, slowest,
-              run.pre.timing.fmax_mhz <= slowest + 1.0 ? "bound holds" : "BOUND VIOLATED");
+  const long total_cycles =
+      print_perf_table("Table III: LeNet performance exploration", run, false);
+  std::printf("Fmax gain: %.2fx (paper: 1.75x)\n",
+              run.pre.timing.fmax_mhz / run.mono.timing.fmax_mhz);
   std::printf("image-pipelined throughput (initiation interval = slowest component): "
               "classic %.0f img/s, pre-implemented %.0f img/s\n",
               pipeline_throughput(run.model, run.impl, run.groups,

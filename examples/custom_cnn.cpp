@@ -62,14 +62,12 @@ int main(int argc, char** argv) {
   const PreImplReport& pre = session.report;
 
   Table components("pre-implemented components");
-  components.set_header({"component", "Fmax (MHz)", "DSP", "latency (us @ own clock)"});
-  for (const auto& group : groups) {
-    const auto cp = store.get(group_signature(model, impl, group), device);
-    const ComponentLatency lat = group_latency(model, impl, group, cp->meta.fmax_mhz);
-    long dsp = 0;
-    for (int idx : group) dsp += impl.layers[static_cast<std::size_t>(idx)].dsp_count();
-    components.add_row({cp->netlist.name(), Table::fmt(cp->meta.fmax_mhz, 1),
-                        std::to_string(dsp), Table::fmt(lat.latency_us(), 2)});
+  components.set_header({"instance", "Fmax (MHz)", "DSP", "latency (us @ own clock)"});
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const InstanceRow& row = pre.instances[g];
+    const ComponentLatency lat = group_latency(model, impl, groups[g], row.fmax_mhz);
+    components.add_row({row.instance, Table::fmt(row.fmax_mhz, 1),
+                        std::to_string(row.resources.dsp), Table::fmt(lat.latency_us(), 2)});
   }
   components.print();
 
@@ -88,9 +86,8 @@ int main(int argc, char** argv) {
   cmp.add_row({"FF", std::to_string(mono.stats.resources.ff),
                std::to_string(pre.stats.resources.ff)});
   cmp.print();
-  std::printf("critical path of the composed design:\n");
-  for (const std::string& hop : pre.timing.critical_path) {
-    std::printf("  %s\n", hop.c_str());
-  }
+  std::fputs(format_critical_path(pre.timing, session.design.netlist, session.design.instances)
+                 .c_str(),
+             stdout);
   return 0;
 }

@@ -41,9 +41,11 @@ conv c2 out=2 k=3
 
   Table table("quickstart accelerator");
   table.set_header({"metric", "value"});
-  table.add_row({"components", std::to_string(accelerator.instances.size())});
+  table.add_row({"components", std::to_string(report.instances.size())});
   table.add_row({"Fmax (MHz)", Table::fmt(report.timing.fmax_mhz, 1)});
-  table.add_row({"slowest component (MHz)", Table::fmt(report.slowest_component_mhz, 1)});
+  const InstanceRow& slowest = *report.slowest();
+  table.add_row({"slowest component " + slowest.instance + " (MHz)",
+                 Table::fmt(slowest.fmax_mhz, 1)});
   table.add_row({"LUTs", std::to_string(report.stats.resources.lut)});
   table.add_row({"DSPs", std::to_string(report.stats.resources.dsp)});
   table.add_row({"BRAMs", std::to_string(report.stats.resources.bram)});

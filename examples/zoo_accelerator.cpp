@@ -1,11 +1,12 @@
-// Zoo accelerator: one bundled topology (mobilenet, resnet18, unet,
+// Zoo accelerator: one bundled topology (lenet, mobilenet, resnet18, unet,
 // inception or any other model_zoo() name) through both flows. The
 // pre-implemented flow stitches the model's component DFG — stream forks,
 // element-wise adds, channel concats, upsample — and the monolithic flow
-// implements the same netlist flat. fpgalint then checks both final
-// netlists, the composed one stitch-boundary aware through its instance
-// ranges, and a seeded tensor is streamed through the composed design
-// against the golden reference.
+// implements the same netlist flat. Prints the flow report's instances and
+// the composed critical path; fpgalint then checks both final netlists,
+// the composed one stitch-boundary aware through its instance ranges, and
+// a seeded tensor is streamed through the composed design against the
+// golden reference.
 //
 // usage: zoo_accelerator <model> [--no-sim]
 // Exit status: 0 = lint clean and bit-exact, 1 = a lint error or a golden
@@ -53,14 +54,15 @@ int main(int argc, char** argv) {
   const MonoReport mono = run_monolithic_flow(device, flat, flat_phys);
 
   Table table(std::string(entry->name) + ": composed DFG instances");
-  table.set_header({"instance", "pblock", "cells"});
-  for (const auto& inst : accelerator.instances) {
-    char pblock[48];
-    std::snprintf(pblock, sizeof pblock, "(%d,%d)-(%d,%d)", inst.footprint.x0,
-                  inst.footprint.y0, inst.footprint.x1, inst.footprint.y1);
-    table.add_row({inst.name, pblock, std::to_string(inst.cell_end - inst.cell_begin)});
+  table.set_header({"instance", "component", "Fmax (MHz)", "LUT", "DSP", "BRAM", "pblock"});
+  for (const InstanceRow& row : pre.instances) {
+    table.add_row({row.instance, row.component, Table::fmt(row.fmax_mhz, 1),
+                   std::to_string(row.resources.lut), std::to_string(row.resources.dsp),
+                   std::to_string(row.resources.bram), row.pblock.to_string()});
   }
   table.print();
+  std::fputs(format_critical_path(pre.timing, accelerator.netlist, accelerator.instances).c_str(),
+             stdout);
   const FindingsReport pre_lint = lint::run(accelerator.netlist, {}, accelerator.instances);
   const FindingsReport mono_lint = lint::run(flat);
   std::printf("lint: pre-implemented %s / monolithic %s\n", pre_lint.summary().c_str(),

@@ -183,7 +183,6 @@ ComponentLatency group_latency(const CnnModel& model, const ModelImpl& impl,
   latency.at_mhz = fmax_mhz;
   for (int idx : group) {
     const Layer& layer = model.layers()[static_cast<std::size_t>(idx)];
-    if (latency.name.empty()) latency.name = layer.name;
     latency.cycles += layer_cycles(layer, impl.layers[static_cast<std::size_t>(idx)]).total();
   }
   return latency;

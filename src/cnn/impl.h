@@ -88,7 +88,6 @@ LayerCycles layer_cycles(const Layer& layer, const LayerImpl& impl);
 
 /// Per-component and end-to-end latency at the given clock.
 struct ComponentLatency {
-  std::string name;
   long cycles = 0;
   double at_mhz = 0.0;
   double latency_us() const { return cycles / at_mhz; }  // cycles/MHz == us

@@ -7,13 +7,6 @@
 
 namespace fpgasim {
 namespace drc_detail {
-namespace {
-
-std::string loc_str(TileCoord loc) {
-  return "(" + std::to_string(loc.x) + "," + std::to_string(loc.y) + ")";
-}
-
-}  // namespace
 
 void place_bounds(const DrcContext& ctx, Emitter& out) {
   if (ctx.phys == nullptr) return;
@@ -38,7 +31,7 @@ void place_bounds(const DrcContext& ctx, Emitter& out) {
     }
     if (ctx.device != nullptr && !ctx.device->in_bounds(loc.x, loc.y)) {
       out.emit("cell #" + std::to_string(c) + " ('" + nl.cell(c).name + "') is placed at " +
-                   loc_str(loc) + ", outside the device",
+                   to_string(loc) + ", outside the device",
                c);
     }
   }
@@ -53,7 +46,7 @@ void place_escape(const DrcContext& ctx, Emitter& out) {
       if (loc == kUnplaced) continue;
       if (!inst.footprint.contains(loc.x, loc.y)) {
         out.emit("cell #" + std::to_string(c) + " of instance '" + inst.name +
-                     "' is placed at " + loc_str(loc) + ", outside its pblock " +
+                     "' is placed at " + to_string(loc) + ", outside its pblock " +
                      inst.footprint.to_string(),
                  c);
       }
@@ -134,7 +127,7 @@ void place_tile_crowding(const DrcContext& ctx, Emitter& out) {
     }
     if (!left.is_zero()) {
       out.emit("cell #" + std::to_string(c) + " ('" + nl.cell(c).name + "') at " +
-                   loc_str(loc) + " cannot satisfy " + left.to_string() + " within " +
+                   to_string(loc) + " cannot satisfy " + left.to_string() + " within " +
                    std::to_string(ctx.tile_spill_radius) + " tiles of its anchor",
                c);
     }

@@ -14,8 +14,7 @@ namespace drc_detail {
 namespace {
 
 std::string edge_str(const std::pair<TileCoord, TileCoord>& e) {
-  return "(" + std::to_string(e.first.x) + "," + std::to_string(e.first.y) + ")-(" +
-         std::to_string(e.second.x) + "," + std::to_string(e.second.y) + ")";
+  return to_string(e.first) + "-" + to_string(e.second);
 }
 
 /// Canonical 64-bit key of an undirected channel edge.

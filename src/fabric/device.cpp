@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <sstream>
 
 namespace fpgasim {
@@ -14,6 +15,12 @@ const char* to_string(ColumnType type) {
     case ColumnType::kIo: return "IO";
   }
   return "?";
+}
+
+std::string to_string(TileCoord loc) {
+  char text[32];
+  std::snprintf(text, sizeof text, "(%d,%d)", loc.x, loc.y);
+  return text;
 }
 
 Device::Device(std::string name, std::vector<ColumnType> columns, int rows,

@@ -31,6 +31,9 @@ struct TileCoord {
   friend bool operator==(const TileCoord&, const TileCoord&) = default;
 };
 
+/// "(x,y)"; a channel edge prints as its two tiles joined by "-".
+std::string to_string(TileCoord loc);
+
 class Device {
  public:
   /// Builds a device from an explicit column layout. rows must be a

@@ -10,9 +10,22 @@
 
 namespace fpgasim {
 
+const InstanceRow* PreImplReport::slowest() const {
+  const InstanceRow* slowest = nullptr;
+  for (const InstanceRow& row : instances) {
+    if (row.fmax_mhz > 0.0 && (slowest == nullptr || row.fmax_mhz < slowest->fmax_mhz)) {
+      slowest = &row;
+    }
+  }
+  return slowest;
+}
+
 PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph,
                                ComposedDesign& out) {
   if (graph.nodes.empty()) throw std::invalid_argument("run_preimpl_flow: empty graph");
+  if (graph.names.size() != graph.nodes.size()) {
+    throw std::invalid_argument("run_preimpl_flow: one instance name per node required");
+  }
   const int output_node =
       graph.output_node >= 0 ? graph.output_node : static_cast<int>(graph.nodes.size()) - 1;
   PreImplReport report;
@@ -24,16 +37,10 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   Stopwatch stage;
   Composer composer("preimpl_top");
   for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-    const Checkpoint* node = graph.nodes[i];
-    const std::string name =
-        i < graph.names.size() ? graph.names[i] : "inst" + std::to_string(i);
-    composer.add_instance(*node, name);
-    if (node->meta.fmax_mhz > 0.0 &&
-        (report.slowest_component_mhz == 0.0 ||
-         node->meta.fmax_mhz < report.slowest_component_mhz)) {
-      report.slowest_component_mhz = node->meta.fmax_mhz;
-      report.slowest_component = name;
-    }
+    const Checkpoint& node = *graph.nodes[i];
+    composer.add_instance(node, graph.names[i]);
+    report.instances.push_back({graph.names[i], node.netlist.name(), node.meta.fmax_mhz,
+                                node.netlist.stats().resources, {}});
   }
   composer.stitch(graph.edges, graph.input_node, output_node);
   out = std::move(composer).finish();
@@ -49,6 +56,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   for (std::size_t i = 0; i < out.instances.size(); ++i) {
     out.translate_instance(i, report.macro.offsets[i].first,
                            report.macro.offsets[i].second);
+    report.instances[i].pblock = out.instances[i].footprint;
   }
   report.place_seconds = stage.seconds();
   run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place,

@@ -19,6 +19,16 @@
 
 namespace fpgasim {
 
+/// One composed instance of PreImplReport: the checkpoint it instantiates
+/// (deduplicated instances share a component) and where it was relocated.
+struct InstanceRow {
+  std::string instance;   // unique within the design
+  std::string component;  // the checkpoint's netlist name
+  double fmax_mhz = 0.0;  // out-of-context Fmax of the component
+  ResourceVec resources;
+  Pblock pblock;  // relocated footprint
+};
+
 struct PreImplReport {
   // Architecture-optimization stage times (online).
   double stitch_seconds = 0.0;  // extraction + matching + composition
@@ -38,8 +48,13 @@ struct PreImplReport {
   FindingsReport drc_place{"DRC"};    // + placement legality, after relocation
   FindingsReport drc{"DRC"};          // full check, after inter-component routing
 
-  double slowest_component_mhz = 0.0;
-  std::string slowest_component;  // its instance name
+  /// One row per instance, in ComponentGraph node order (for
+  /// run_preimpl_cnn: the groups in grouping order, then the stream forks).
+  std::vector<InstanceRow> instances;
+
+  /// The row with the lowest positive OOC Fmax (the first of equals), or
+  /// nullptr: the component the paper bounds the composed design by.
+  const InstanceRow* slowest() const;
 
   /// The paper's observation: stitching is a small share of the flow.
   double stitch_fraction() const {
@@ -48,10 +63,10 @@ struct PreImplReport {
 };
 
 /// A component DAG of pre-implemented checkpoints, ready to stitch:
-/// node i is instantiated as `names[i]` (falls back to "inst<i>" when the
-/// name list is short), `edges` are the stream edges, `input_node` /
-/// `output_node` expose the design boundary (`output_node == -1` means the
-/// last node). Checkpoints must stay alive through the flow.
+/// node i is instantiated as `names[i]` (one unique name per node, required),
+/// `edges` are the stream edges, `input_node` / `output_node` expose the
+/// design boundary (`output_node == -1` means the last node). Checkpoints
+/// must stay alive through the flow.
 struct ComponentGraph {
   std::vector<const Checkpoint*> nodes;
   std::vector<std::string> names;

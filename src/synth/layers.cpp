@@ -556,67 +556,6 @@ Netlist make_relu_component(const std::string& name, int width) {
   return std::move(b).take();
 }
 
-Netlist make_stream_fifo(const std::string& name, int depth, int width) {
-  NetlistBuilder b(name);
-  const std::uint16_t w = static_cast<std::uint16_t>(width);
-  const NetId in_data = b.in_port("in_data", w);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  // Register-file FIFO with combinational read (single-source single-sink
-  // unbounded-in-spirit queue from Sec. IV-B1; depth bounds it physically).
-  const NetlistBuilder::Reg count = b.reg(8, "count");
-  const NetId empty = b.eq(count.q, b.zero(8));
-  const NetId full = b.eq(count.q, b.constant(static_cast<std::uint64_t>(depth), 8));
-  const NetId in_ready = b.not1(full);
-  const NetId out_valid = b.not1(empty);
-  const NetId push = b.and2(in_valid, in_ready);
-  const NetId pop = b.and2(out_ready, out_valid);
-
-  const NetId inc = b.mux2(b.zero(8), b.constant(1, 8), push, 8);
-  const NetId dec = b.mux2(b.zero(8), b.constant(1, 8), pop, 8);
-  const NetId next_count = b.sub(b.add(count.q, inc, 8), dec, 8);
-  b.drive(count, next_count, b.one());
-
-  const auto wptr = b.counter(static_cast<std::uint32_t>(depth), push, 8, "wptr");
-  const auto rptr = b.counter(static_cast<std::uint32_t>(depth), pop, 8, "rptr");
-  const std::vector<NetId> slot_en = b.decode(wptr.value, static_cast<std::size_t>(depth));
-  std::vector<NetId> slots;
-  slots.reserve(static_cast<std::size_t>(depth));
-  for (int i = 0; i < depth; ++i) {
-    slots.push_back(b.ff(in_data, b.and2(push, slot_en[static_cast<std::size_t>(i)]), w));
-  }
-  b.out_port("out_data", b.muxn(slots, rptr.value, w));
-  b.out_port("out_valid", out_valid);
-  b.out_port("in_ready", in_ready);
-  return std::move(b).take();
-}
-
-Netlist make_input_streamer(const std::string& name, const std::vector<Fixed16>& image) {
-  NetlistBuilder b(name);
-  const NetId out_ready = b.in_port("out_ready", 1);
-  const std::uint32_t n = static_cast<std::uint32_t>(image.size());
-
-  // Valid goes (and stays) high one cycle in; the ROM is addressed with the
-  // *next* index on transfer so out_data is always the word at the current
-  // index (first-word-fall-through prefetch).
-  const NetId vld = b.ff(b.one(), b.one(), 1, "vld");
-  const NetId transfer = b.and2(out_ready, vld);
-
-  const NetlistBuilder::Reg idx = b.reg(kAddrW, "idx");
-  const NetId at_top = b.eq(idx.q, b.constant(n - 1, kAddrW));
-  const NetId idx_next = b.mux2(b.add(idx.q, b.constant(1, kAddrW), kAddrW), b.zero(kAddrW),
-                                at_top, kAddrW);
-  b.drive(idx, idx_next, transfer);
-
-  const NetId addr = b.mux2(idx.q, idx_next, transfer, kAddrW);
-  const std::int32_t rom_id = b.rom(to_rom_words(image));
-  const NetId data = b.bram(addr, kInvalidNet, kInvalidNet, n, kDataW, rom_id, "img_rom");
-  b.out_port("out_data", data);
-  b.out_port("out_valid", vld);
-  return std::move(b).take();
-}
-
 std::string stream_port_name(const char* direction, int index, const char* field) {
   std::string port = direction;
   if (index > 0) port += std::to_string(index + 1);

@@ -152,13 +152,6 @@ Netlist make_pool_component(const PoolParams& params);
 /// Standalone streaming ReLU (registered, no memory controller; Sec. IV-B1).
 Netlist make_relu_component(const std::string& name, int width = kDataW);
 
-/// Single-source single-sink stream FIFO queue (Sec. IV-B1, Fig. 5).
-Netlist make_stream_fifo(const std::string& name, int depth, int width = kDataW);
-
-/// Input streamer: plays a fixed image (channel-major) out of ROM whenever
-/// downstream is ready; models the top-level MMU source.
-Netlist make_input_streamer(const std::string& name, const std::vector<Fixed16>& image);
-
 // -- branching-DFG components -----------------------------------------------
 
 /// Canonical stream port name for multi-stream components. Index 0 keeps

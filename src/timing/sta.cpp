@@ -49,9 +49,11 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
     throw std::runtime_error("sta: combinational loop in netlist '" + netlist.name() + "'");
   }
 
-  // Arrival time at each net, with predecessor tracking for the report.
+  // Arrival time at each net, with the input net (and its wire delay)
+  // its driver's arrival came through, for the path report.
   std::vector<double> arrival(num_nets, 0.0);
   std::vector<NetId> pred_net(num_nets, kInvalidNet);
+  std::vector<double> pred_wire(num_nets, 0.0);
   for (NetId n = 0; n < num_nets; ++n) {
     const Net& net = netlist.net(n);
     if (net.driver != kInvalidCell && is_sequential(netlist.cell(net.driver))) {
@@ -62,6 +64,7 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
     const Cell& cell = netlist.cell(c);
     if (cell.outputs.empty()) continue;
     double best = 0.0;
+    double best_wire = 0.0;
     NetId best_in = kInvalidNet;
     for (NetId in : cell.inputs) {
       if (in == kInvalidNet) continue;
@@ -77,6 +80,7 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
       const double t = arrival[in] + wd;
       if (t > best) {
         best = t;
+        best_wire = wd;
         best_in = in;
       }
     }
@@ -87,6 +91,7 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
       if (out == kInvalidNet) continue;
       arrival[out] = best + dm.comb_delay(cell);
       pred_net[out] = best_in;
+      pred_wire[out] = best_wire;
     }
   }
 
@@ -94,6 +99,7 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
   TimingResult result;
   NetId worst_net = kInvalidNet;
   CellId worst_cell = kInvalidCell;
+  double worst_wire = 0.0;
   for (NetId n = 0; n < num_nets; ++n) {
     const Net& net = netlist.net(n);
     for (std::size_t s = 0; s < net.sinks.size(); ++s) {
@@ -101,11 +107,13 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
       const Cell& cell = netlist.cell(sink);
       if (!is_sequential(cell)) continue;
       ++result.endpoints;
-      const double t = arrival[n] + wire_delay(n, s, sink) + dm.setup(cell);
+      const double wd = wire_delay(n, s, sink);
+      const double t = arrival[n] + wd + dm.setup(cell);
       if (t > result.critical_path_ns) {
         result.critical_path_ns = t;
         worst_net = n;
         worst_cell = sink;
+        worst_wire = wd;
       }
     }
   }
@@ -122,28 +130,59 @@ TimingResult run_sta(const Netlist& netlist, const PhysState& phys, const Device
 
   if (result.critical_path_ns > 0.0) {
     result.fmax_mhz = 1000.0 / result.critical_path_ns;
-    // Reconstruct the critical chain (endpoint first).
+    // Walk back from the endpoint to the launch, then put the launch first.
+    std::vector<TimingHop>& path = result.critical_path;
     if (worst_cell != kInvalidCell) {
-      result.critical_path.push_back("endpoint: " +
-                                     std::string(to_string(netlist.cell(worst_cell).type)) +
-                                     " '" + netlist.cell(worst_cell).name + "'");
+      path.push_back({worst_cell, worst_net, worst_wire, dm.setup(netlist.cell(worst_cell))});
     }
-    NetId n = worst_net;
-    int guard = 0;
-    while (n != kInvalidNet && guard++ < 64) {
-      const Net& net = netlist.net(n);
-      if (net.driver == kInvalidCell) {
-        result.critical_path.push_back("input port net '" + net.name + "'");
+    for (NetId n = worst_net; n != kInvalidNet;) {
+      const CellId driver = netlist.net(n).driver;
+      if (driver == kInvalidCell) break;  // an input port launched the path
+      const Cell& cell = netlist.cell(driver);
+      if (is_sequential(cell)) {
+        path.push_back({driver, kInvalidNet, 0.0, dm.clk_to_q(cell)});
         break;
       }
-      const Cell& drv = netlist.cell(net.driver);
-      result.critical_path.push_back(std::string(to_string(drv.type)) + " '" + drv.name +
-                                     "'");
-      if (is_sequential(drv)) break;
+      path.push_back({driver, pred_net[n], pred_wire[n], dm.comb_delay(cell)});
       n = pred_net[n];
     }
+    std::reverse(path.begin(), path.end());
   }
   return result;
+}
+
+std::string format_critical_path(const TimingResult& timing, const Netlist& netlist,
+                                 const std::vector<InstanceRange>& instances) {
+  const auto owner = [&](CellId cell) -> std::string {
+    const int i = instance_of_cell(instances, cell);
+    return i < 0 ? "top" : instances[static_cast<std::size_t>(i)].name;
+  };
+  char line[160];
+  std::snprintf(line, sizeof line, "critical path %.3f ns (%.1f MHz), launch first:\n",
+                timing.critical_path_ns, timing.fmax_mhz);
+  std::string text = line;
+  for (const TimingHop& hop : timing.critical_path) {
+    const std::string instance = owner(hop.cell);
+    text += "  ";
+    text += instance;
+    text += ": ";
+    text += cell_ref(netlist, hop.cell);
+    if (hop.net != kInvalidNet) {
+      text += " <- ";
+      text += net_ref(netlist, hop.net);
+      const CellId driver = netlist.net(hop.net).driver;
+      if (driver == kInvalidCell) {
+        text += " from an input port";
+      } else if (owner(driver) != instance) {
+        text += " from ";
+        text += owner(driver);
+      }
+    }
+    std::snprintf(line, sizeof line, ": wire %.3f + logic %.3f ns\n", hop.wire_ns,
+                  hop.logic_ns);
+    text += line;
+  }
+  return text;
 }
 
 }  // namespace fpgasim

@@ -282,6 +282,7 @@ TEST(PreImplFlow, ComposeGateCatchesBrokenDriverPin) {
   }
   ComponentGraph graph;
   graph.nodes = {&broken};
+  graph.names = {"bad0"};
   ComposedDesign design;
   try {
     run_preimpl_flow(make_xcku5p_sim(), graph, design);
@@ -291,6 +292,14 @@ TEST(PreImplFlow, ComposeGateCatchesBrokenDriverPin) {
     EXPECT_NE(what.find("preimpl after compose"), std::string::npos) << what;
     EXPECT_NE(what.find("net-driver"), std::string::npos) << what;
   }
+}
+
+TEST(PreImplFlow, EveryNodeNeedsAName) {
+  const Checkpoint a = make_fake_checkpoint("a", 4);
+  ComponentGraph graph;
+  graph.nodes = {&a};
+  ComposedDesign design;
+  EXPECT_THROW(run_preimpl_flow(make_xcku5p_sim(), graph, design), std::invalid_argument);
 }
 
 TEST(Composer, FinishedDesignPassesStructuralDrc) {

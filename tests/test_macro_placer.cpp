@@ -12,7 +12,8 @@ std::vector<MacroItem> make_chain_items(const Device& device, int count, int w, 
   for (int i = 0; i < count; ++i) {
     // All implemented at the same spot (the OOC flow reuses one pblock);
     // relocation must spread them out.
-    items.push_back(MacroItem{"c" + std::to_string(i), Pblock{0, 0, w - 1, h - 1}});
+    items.push_back(
+        MacroItem{std::string("c").append(std::to_string(i)), Pblock{0, 0, w - 1, h - 1}});
   }
   (void)device;
   return items;
@@ -104,7 +105,7 @@ TEST(MacroPlacer, PacksManyComponentsOnTinyDevice) {
   const Device device = make_tiny_device();
   std::vector<MacroItem> items;
   for (int i = 0; i < 8; ++i) {
-    items.push_back(MacroItem{"b" + std::to_string(i), Pblock{0, 0, 3, 7}});
+    items.push_back(MacroItem{std::string("b").append(std::to_string(i)), Pblock{0, 0, 3, 7}});
   }
   const auto nets = make_chain_nets(8);
   const MacroPlaceResult result = place_macros(device, items, nets);
@@ -127,7 +128,8 @@ TEST(MacroCost, IncrementalMatchesFullOnRandomizedPlacements) {
   for (std::size_t i = 0; i < n; ++i) {
     const int w = 6 + 2 * static_cast<int>(i % 5);
     const int h = 12 + 4 * static_cast<int>(i % 4);
-    items.push_back(MacroItem{"r" + std::to_string(i), Pblock{0, 0, w - 1, h - 1}});
+    items.push_back(
+        MacroItem{std::string("r").append(std::to_string(i)), Pblock{0, 0, w - 1, h - 1}});
     anchors.push_back(relocation_offsets(device, items.back().footprint));
     ASSERT_FALSE(anchors.back().empty());
   }

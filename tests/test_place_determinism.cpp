@@ -39,7 +39,8 @@ Scenario dense_scenario(int count) {
   for (int i = 0; i < count; ++i) {
     const int w = widths[rng.next_below(5)];
     const int h = heights[rng.next_below(4)];
-    s.items.push_back(MacroItem{"d" + std::to_string(i), Pblock{0, 0, w - 1, h - 1}});
+    s.items.push_back(
+        MacroItem{std::string("d").append(std::to_string(i)), Pblock{0, 0, w - 1, h - 1}});
     if (i > 0) s.nets.push_back(MacroNet{{i - 1, i}, 1.0});
     if (i >= 3 && i % 3 == 0) s.nets.push_back(MacroNet{{i - 3, i}, 1.0});
   }

@@ -152,11 +152,7 @@ CnnModel random_model(std::uint64_t seed) {
   int w = pick(4, 12);
   model.add(Layer{.kind = LayerKind::kInput, .name = "in", .out_shape = Shape{c, h, w}});
   int next_id = 0;
-  const auto fresh = [&next_id] {
-    std::string name = std::to_string(next_id++);
-    name.insert(0, "l");
-    return name;
-  };
+  const auto fresh = [&next_id] { return std::string("l").append(std::to_string(next_id++)); };
   const auto pow2 = [](int v) { return v > 0 && (v & (v - 1)) == 0; };
 
   const int steps = pick(3, 8);

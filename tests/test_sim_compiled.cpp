@@ -466,8 +466,12 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
   // where it would leave the outputs alone. The composed design's QoR
   // (Fmax, slowest component, resources) is pinned per model as well, with
   // the online flow's work counters (inter-component wirelength, router
-  // iterations, macro-placer cost evaluations), and every instance must
-  // have its own name.
+  // iterations, macro-placer cost evaluations), the instances at both ends
+  // of its critical path (whose hop delays must add up to the path's), and
+  // every instance must have its own name. The classify models' cycles per
+  // image are pinned as zoobench's classify pass counts them: 64 seeded
+  // images from a fresh context to the last output word, every lane
+  // bit-exact.
   struct Pin {
     const char* name;
     std::uint64_t fingerprint;
@@ -475,26 +479,36 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
     const char* design;            // design_fingerprint of the composed design
     double fmax_mhz, slowest_mhz;  // composed Fmax, and its slowest component's
     const char* slowest;           // instance name of the slowest component
+    const char* launch;            // instance launching the critical path
+    const char* capture;           // instance capturing it
     std::int64_t lut, ff, dsp, bram;
     double wirelength;  // inter-component routing, in tile edges
     int route_iterations;
     long cost_evals;    // macro placer, over every start
+    std::uint64_t cycles_per_image;  // 0: not a classify model (vgg16)
   };
   const std::vector<Pin> pinned{
       {"lenet", 0xcc85505b094f7503ULL, 10, 569, 265, "b70d6907ac1d3ecb449fe6292f142d7c",
-       163.8433, 163.8433, "conv2", 6352, 1278, 40, 101, 641, 1, 906},
+       163.8433, 163.8433, "conv2", "conv2", "conv2",
+       6352, 1278, 40, 101, 641, 1, 906, 51'559},
       {"resblock", 0x053e32d6e3b28cf0ULL, 9, 478, 224, "64f46cbc6bfc131507aaacb901c48027",
-       236.4615, 253.2997, "p1", 4489, 1173, 29, 64, 508, 1, 6131},
+       236.4615, 253.2997, "p1", "add1", "c1",
+       4489, 1173, 29, 64, 508, 1, 6131, 1'453},
       {"vgg16", 0xf6fc3f661e16cbc8ULL, 10, 2731, 1286, "7badbfb06742bd9a66891225c8d647c1",
-       68.0475, 103.4405, "conv4_2", 32755, 5053, 272, 1119, 6495, 1, 18731},
+       68.0475, 103.4405, "conv4_2", "conv5_3", "conv5_2",
+       32755, 5053, 272, 1119, 6495, 1, 18731, 0},
       {"mobilenet", 0xfa2690557f1f8b8fULL, 14, 644, 307, "2043a0a0836a19d1316b1cf1adcfa144",
-       129.6278, 129.6278, "gap", 6973, 1591, 47, 90, 504, 1, 756},
+       129.6278, 129.6278, "gap", "gap", "gap",
+       6973, 1591, 47, 90, 504, 1, 756, 3'704},
       {"resnet18", 0xc965bc5c9c3a8cb9ULL, 14, 882, 395, "59697537d422854611df63cf2398e140",
-       135.8208, 135.8208, "gap", 8598, 1980, 57, 116, 1221, 2, 11506},
+       135.8208, 135.8208, "gap", "gap", "gap",
+       8598, 1980, 57, 116, 1221, 2, 11506, 3'337},
       {"unet", 0x7e7148ec8eb34903ULL, 10, 566, 255, "5d29b3fc51bd44e578119dd97f598397",
-       151.9888, 180.0742, "d1", 5536, 1306, 36, 75, 795, 1, 10856},
+       151.9888, 180.0742, "d1", "head", "d1",
+       5536, 1306, 36, 75, 795, 1, 10856, 2'351},
       {"inception", 0x536a1e6a229f0feaULL, 14, 1085, 446, "52a61dabddf97c55640d172e32f34329",
-       112.8898, 112.8898, "gap", 11413, 2405, 56, 118, 1414, 1, 30706},
+       112.8898, 112.8898, "gap", "gap", "gap",
+       11413, 2405, 56, 118, 1414, 1, 30706, 2'795},
   };
   ASSERT_EQ(model_zoo().size(), pinned.size());
   const Device device = make_xcku5p_sim();
@@ -511,8 +525,9 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
 
     const PreImplReport& report = result.report;
     EXPECT_NEAR(report.timing.fmax_mhz, pin.fmax_mhz, 1e-3) << pin.name;
-    EXPECT_NEAR(report.slowest_component_mhz, pin.slowest_mhz, 1e-3) << pin.name;
-    EXPECT_EQ(report.slowest_component, pin.slowest) << pin.name;
+    ASSERT_NE(report.slowest(), nullptr) << pin.name;
+    EXPECT_NEAR(report.slowest()->fmax_mhz, pin.slowest_mhz, 1e-3) << pin.name;
+    EXPECT_EQ(report.slowest()->instance, pin.slowest) << pin.name;
     EXPECT_EQ(report.stats.resources.lut, pin.lut) << pin.name;
     EXPECT_EQ(report.stats.resources.ff, pin.ff) << pin.name;
     EXPECT_EQ(report.stats.resources.dsp, pin.dsp) << pin.name;
@@ -526,10 +541,40 @@ TEST(CompiledSim, ZooEngineFingerprintsArePinned) {
           << pin.name << ": two instances named '" << inst.name << "'";
     }
 
+    const std::vector<TimingHop>& path = report.timing.critical_path;
+    ASSERT_FALSE(path.empty()) << pin.name;
+    double path_ns = 0.0;
+    for (const TimingHop& hop : path) path_ns += hop.wire_ns + hop.logic_ns;
+    EXPECT_NEAR(path_ns, report.timing.critical_path_ns, 1e-9) << pin.name;
+    const auto instance_name = [&](CellId cell) {
+      const int i = instance_of_cell(result.design.instances, cell);
+      return i < 0 ? std::string("top") : result.design.instances[static_cast<std::size_t>(i)].name;
+    };
+    EXPECT_EQ(instance_name(path.front().cell), pin.launch) << pin.name;
+    EXPECT_EQ(instance_name(path.back().cell), pin.capture) << pin.name;
+
     const Netlist netlist = std::move(result.design.netlist);
+    const std::shared_ptr<const SimPlan> plan = SimPlan::compile(netlist);
+    if (pin.cycles_per_image > 0) {
+      const Shape shape = model.layers().front().out_shape;
+      std::vector<std::vector<Fixed16>> inputs(SimPlan::kLanes);
+      std::vector<std::vector<Fixed16>> expected(SimPlan::kLanes);
+      for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
+        const Tensor t = random_tensor(shape.c, shape.h, shape.w, 6000 + l);
+        inputs[l] = t.data;
+        expected[l] = reference_inference(model, t);
+      }
+      SimContext ctx(plan);
+      const auto out = run_stream_batch(ctx, inputs, expected[0].size());
+      for (std::size_t l = 0; l < SimPlan::kLanes; ++l) {
+        EXPECT_EQ(out[l], expected[l]) << pin.name << " lane " << l;
+      }
+      EXPECT_EQ(ctx.cycle(), pin.cycles_per_image) << pin.name;
+    }
+
     EngineOptions opt;
     opt.contexts = 2;
-    InferenceEngine engine(netlist, opt);
+    InferenceEngine engine(netlist, plan, opt);
     EXPECT_EQ(engine.plan().levels(), pin.levels) << pin.name;
     EXPECT_EQ(engine.plan().comb_ops(), pin.comb_ops) << pin.name;
     EXPECT_EQ(engine.plan().seq_ops(), pin.seq_ops) << pin.name;

@@ -30,7 +30,31 @@ TEST(Sta, HandBuiltChainMatchesModel) {
   EXPECT_NEAR(result.critical_path_ns, expected, 1e-9);
   EXPECT_NEAR(result.fmax_mhz, 1000.0 / expected, 1e-6);
   EXPECT_GE(result.endpoints, 2u);
-  EXPECT_FALSE(result.critical_path.empty());
+
+  // Launch FF, LUT, capturing FF: each hop carries its own model terms.
+  ASSERT_EQ(result.critical_path.size(), 3u);
+  const TimingHop& launch = result.critical_path[0];
+  const TimingHop& lut = result.critical_path[1];
+  const TimingHop& capture = result.critical_path[2];
+  EXPECT_EQ(launch.cell, nl.net(q1).driver);
+  EXPECT_EQ(launch.net, kInvalidNet);
+  EXPECT_DOUBLE_EQ(launch.wire_ns + launch.logic_ns, dm.ff_clk_to_q);
+  EXPECT_EQ(lut.cell, nl.net(l1).driver);
+  EXPECT_EQ(lut.net, q1);
+  EXPECT_DOUBLE_EQ(lut.wire_ns, dm.wire_base);
+  EXPECT_DOUBLE_EQ(lut.logic_ns, dm.lut);
+  EXPECT_EQ(capture.net, l1);
+  EXPECT_DOUBLE_EQ(capture.wire_ns, dm.wire_base);
+  EXPECT_DOUBLE_EQ(capture.logic_ns, dm.ff_setup);
+
+  // The formatter names each hop's instance and marks the net that
+  // crosses from one instance into the next.
+  const std::vector<InstanceRange> instances{{"a", {}, 0, capture.cell, 0, 0},
+                                             {"b", {}, capture.cell, capture.cell + 1, 0, 0}};
+  const std::string text = format_critical_path(result, nl, instances);
+  EXPECT_NE(text.find("a: FF cell #" + std::to_string(launch.cell)), std::string::npos) << text;
+  EXPECT_NE(text.find("b: FF cell #" + std::to_string(capture.cell)), std::string::npos) << text;
+  EXPECT_NE(text.find("from a"), std::string::npos) << text;
 }
 
 TEST(Sta, DistanceIncreasesCriticalPath) {
@@ -114,7 +138,9 @@ TEST(Sta, FanoutAddsDelay) {
     NetlistBuilder b("f");
     const NetId d = b.in_port("d", 1);
     const NetId q = b.ff(d, kInvalidNet, 1);
-    for (int i = 0; i < fanout; ++i) b.out_port("q" + std::to_string(i), b.ff(q, kInvalidNet, 1));
+    for (int i = 0; i < fanout; ++i) {
+      b.out_port(std::string("q").append(std::to_string(i)), b.ff(q, kInvalidNet, 1));
+    }
     Netlist nl = std::move(b).take();
     PhysState phys;
     phys.resize_for(nl);

@@ -1,4 +1,4 @@
-// FIFO, input streamer and MMU components: the Fig. 5 communication
+// MMU and branching-DFG stream components: the Fig. 5 communication
 // interface pieces.
 #include <gtest/gtest.h>
 
@@ -10,121 +10,6 @@ namespace fpgasim {
 namespace {
 
 using testhelpers::random_params;
-
-TEST(StreamFifo, PreservesOrderThroughFillAndDrain) {
-  const Netlist nl = make_stream_fifo("fifo_t", 4);
-  Simulator sim(nl);
-  // Fill completely with downstream blocked.
-  sim.set_input("out_ready", 0);
-  sim.set_input("in_valid", 1);
-  for (int i = 1; i <= 4; ++i) {
-    EXPECT_EQ(sim.get_output("in_ready"), 1u);
-    sim.set_input("in_data", static_cast<std::uint64_t>(i * 11));
-    sim.step();
-  }
-  EXPECT_EQ(sim.get_output("in_ready"), 0u);  // full
-  sim.set_input("in_valid", 0);
-  // Drain.
-  sim.set_input("out_ready", 1);
-  for (int i = 1; i <= 4; ++i) {
-    EXPECT_EQ(sim.get_output("out_valid"), 1u);
-    EXPECT_EQ(sim.get_output("out_data"), static_cast<std::uint64_t>(i * 11));
-    sim.step();
-  }
-  EXPECT_EQ(sim.get_output("out_valid"), 0u);  // empty
-}
-
-TEST(StreamFifo, SimultaneousPushPopKeepsCount) {
-  const Netlist nl = make_stream_fifo("fifo_t", 4);
-  Simulator sim(nl);
-  sim.set_input("in_valid", 1);
-  sim.set_input("out_ready", 1);
-  // Prime one element.
-  sim.set_input("in_data", 5);
-  sim.step();
-  // Now push and pop every cycle: out should track input with 1 lag.
-  for (int i = 0; i < 20; ++i) {
-    sim.set_input("in_data", static_cast<std::uint64_t>(100 + i));
-    ASSERT_EQ(sim.get_output("out_valid"), 1u);
-    const std::uint64_t head = sim.get_output("out_data");
-    if (i == 0) {
-      EXPECT_EQ(head, 5u);
-    } else {
-      EXPECT_EQ(head, static_cast<std::uint64_t>(100 + i - 1));
-    }
-    sim.step();
-  }
-}
-
-TEST(StreamFifo, EmptyFifoHasNoValidOutput) {
-  const Netlist nl = make_stream_fifo("fifo_t", 2);
-  Simulator sim(nl);
-  sim.set_input("out_ready", 1);
-  sim.set_input("in_valid", 0);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(sim.get_output("out_valid"), 0u);
-    sim.step();
-  }
-}
-
-TEST(InputStreamer, PlaysImageInOrder) {
-  const auto image = random_params(10, 7);
-  const Netlist nl = make_input_streamer("src", image);
-  Simulator sim(nl);
-  sim.set_input("out_ready", 1);
-  std::vector<std::int16_t> got;
-  for (int cycle = 0; cycle < 12 && got.size() < image.size(); ++cycle) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-  }
-  ASSERT_EQ(got.size(), image.size());
-  for (std::size_t i = 0; i < image.size(); ++i) EXPECT_EQ(got[i], image[i].raw);
-}
-
-TEST(InputStreamer, DoesNotDropWordsAcrossBackpressure) {
-  // The prefetch register must hold the current word while ready is low.
-  const auto image = random_params(6, 9);
-  const Netlist nl = make_input_streamer("src", image);
-  Simulator sim(nl);
-  std::vector<std::int16_t> got;
-  int cycle = 0;
-  while (got.size() < image.size() && cycle < 100) {
-    // Toggle ready on and off to stress the handshake.
-    const bool ready = (cycle / 3) % 2 == 0;
-    sim.set_input("out_ready", ready ? 1 : 0);
-    const bool valid = sim.get_output("out_valid") == 1;
-    if (ready && valid) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-    sim.step();
-    ++cycle;
-  }
-  ASSERT_EQ(got.size(), image.size());
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    EXPECT_EQ(got[i], image[i].raw) << "word " << i;
-  }
-}
-
-TEST(InputStreamer, LoopsAfterOneImage) {
-  const auto image = random_params(4, 10);
-  const Netlist nl = make_input_streamer("src", image);
-  Simulator sim(nl);
-  sim.set_input("out_ready", 1);
-  std::vector<std::int16_t> got;
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-  }
-  ASSERT_GE(got.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(got[i], image[i % 4].raw);
-}
 
 // The MMU's store-and-forward buffer is the upsample engine at factor 1:
 // LOAD a burst into one BRAM, then DRAIN it in order.

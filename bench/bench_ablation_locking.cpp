@@ -11,7 +11,7 @@ using namespace fpgasim::bench;
 int main() {
   const Device device = make_xcku5p_sim();
   const CnnModel model = make_lenet5();
-  const ModelImpl impl = choose_implementation(model, 200);
+  const ModelImpl impl = choose_implementation(model, kLenet.dsp_budget, kLenet.max_tile);
   const auto groups = default_grouping(model);
   CheckpointStore store;
   CompileService service(device, store);

@@ -32,6 +32,17 @@ inline void write_host_block(JsonWriter& json) {
   json.key("commit").value(FPGASIM_COMMIT);
 }
 
+/// A network's implementation configuration: choose_implementation's DSP
+/// budget and feature-map tile.
+struct NetworkConfig {
+  long dsp_budget;
+  int max_tile;
+};
+
+/// LeNet's Table III configuration, pinned by Flows.LenetQorIsPinned
+/// (1.23x, 105.3 -> 129.9 MHz). Every LeNet bench runs it.
+inline constexpr NetworkConfig kLenet{144, 32};
+
 struct NetworkRun {
   CnnModel model;
   ModelImpl impl;

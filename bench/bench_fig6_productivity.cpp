@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
   const Device device = make_xcku5p_sim();
 
-  NetworkRun lenet = run_network(device, make_lenet5(), 200);
+  NetworkRun lenet = run_network(device, make_lenet5(), kLenet.dsp_budget, kLenet.max_tile);
   NetworkRun vgg = run_network(device, make_vgg16(), quick ? 384 : 1024, 14);
 
   Table table("Fig. 6: design generation time (s)");

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,7 +28,6 @@
 #include "flow/service.h"
 #include "flow/store.h"
 #include "util/json.h"
-#include "util/latch.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -114,7 +114,7 @@ PassResult run_pass(CompileService& service, const std::vector<SessionSpec>& cat
   PassResult pass;
   std::vector<CompileService::SessionResult> results(assignment.size());
   std::vector<std::string> errors(assignment.size());
-  Latch start(assignment.size() + 1);
+  std::latch start(assignment.size() + 1);
   std::vector<std::thread> threads;
   threads.reserve(assignment.size());
   for (std::size_t s = 0; s < assignment.size(); ++s) {

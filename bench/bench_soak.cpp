@@ -37,6 +37,13 @@ namespace {
 struct WidthRun {
   std::size_t width = 0;
   EngineStats stats;
+  double wall_seconds = 0.0;  // the serve() call
+
+  double per_second(std::uint64_t count) const {
+    return wall_seconds > 0.0 ? static_cast<double>(count) / wall_seconds : 0.0;
+  }
+  double vectors_per_sec() const { return per_second(stats.vectors); }
+  double lane_cycles_per_sec() const { return per_second(stats.lane_cycles); }
 };
 
 std::string hex64(std::uint64_t v) {
@@ -114,7 +121,9 @@ int main(int argc, char** argv) {
         ThreadPool pool(width);
         opt.contexts = width;
         InferenceEngine engine(composed.netlist, plan, opt, &pool);
-        runs.push_back({width, engine.serve(vectors)});
+        const Stopwatch watch;
+        EngineStats stats = engine.serve(vectors);
+        runs.push_back({width, std::move(stats), watch.seconds()});
       }
       const std::uint64_t plans_compiled = SimPlan::plans_compiled() - plans_before;
 
@@ -126,10 +135,10 @@ int main(int argc, char** argv) {
       for (const WidthRun& r : runs) oracle_failures += r.stats.oracle_failures;
       const WidthRun& serial = runs.front();
       const WidthRun& wide = runs.back();
-      const double speedup = serial.stats.vectors_per_sec > 0
-                                 ? wide.stats.vectors_per_sec / serial.stats.vectors_per_sec
+      const double speedup = serial.vectors_per_sec() > 0
+                                 ? wide.vectors_per_sec() / serial.vectors_per_sec()
                                  : 0.0;
-      if (cycles == 32) vectors_per_sec_32 = wide.stats.vectors_per_sec;
+      if (cycles == 32) vectors_per_sec_32 = wide.vectors_per_sec();
 
       bool ok = identical && oracle_failures == 0 && plans_compiled == 1;
       for (const WidthRun& r : runs) ok &= r.stats.ok();
@@ -143,8 +152,8 @@ int main(int argc, char** argv) {
           "oracle %llu checks, %llu failures | fingerprint %s %s | plan compiles %llu%s\n",
           section.c_str(), composed.netlist.cell_count(),
           static_cast<unsigned long long>(wide.stats.vectors), widths.size(),
-          wide.stats.vectors_per_sec, wide.stats.lane_cycles_per_sec, wide.width,
-          serial.stats.vectors_per_sec, speedup,
+          wide.vectors_per_sec(), wide.lane_cycles_per_sec(), wide.width,
+          serial.vectors_per_sec(), speedup,
           enforce_speedup ? "" : " (gate unenforced: host too small)",
           static_cast<unsigned long long>(wide.stats.oracle_checks),
           static_cast<unsigned long long>(oracle_failures),
@@ -177,18 +186,18 @@ int main(int argc, char** argv) {
       for (const WidthRun& r : runs) {
         json.begin_object();
         json.key("threads").value(r.width);
-        json.key("wall_seconds").value(r.stats.wall_seconds);
-        json.key("vectors_per_sec").value(r.stats.vectors_per_sec);
-        json.key("lane_cycles_per_sec").value(r.stats.lane_cycles_per_sec);
+        json.key("wall_seconds").value(r.wall_seconds);
+        json.key("vectors_per_sec").value(r.vectors_per_sec());
+        json.key("lane_cycles_per_sec").value(r.lane_cycles_per_sec());
         json.end_object();
       }
       json.end_array();
-      json.key("sustained_vectors_per_sec").value(wide.stats.vectors_per_sec);
-      json.key("sustained_lane_cycles_per_sec").value(wide.stats.lane_cycles_per_sec);
+      json.key("sustained_vectors_per_sec").value(wide.vectors_per_sec());
+      json.key("sustained_lane_cycles_per_sec").value(wide.lane_cycles_per_sec());
       json.key("speedup_widest_vs_serial").value(speedup);
-      if (cycles != 32 && wide.stats.vectors_per_sec > 0) {
+      if (cycles != 32 && wide.vectors_per_sec() > 0) {
         // How many times faster than the 32-cycle row, at the widest width.
-        json.key("vs_32_cycle_batches").value(wide.stats.vectors_per_sec / vectors_per_sec_32);
+        json.key("vs_32_cycle_batches").value(wide.vectors_per_sec() / vectors_per_sec_32);
       }
       json.key("ok").value(ok);
       json.end_object();

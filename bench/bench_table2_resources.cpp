@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   const Device device = make_xcku5p_sim();
   const ResourceVec total = device.total();
 
-  NetworkRun lenet = run_network(device, make_lenet5(), 200);
+  NetworkRun lenet = run_network(device, make_lenet5(), kLenet.dsp_budget, kLenet.max_tile);
   NetworkRun vgg = run_network(device, make_vgg16(), quick ? 384 : 1024, 14);
 
   Table table("Table II: FPGA resource utilization (classic vs pre-implemented)");

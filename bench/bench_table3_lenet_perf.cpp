@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   const Device device = make_xcku5p_sim();
-  NetworkRun run = run_network(device, make_lenet5(), 200);
+  NetworkRun run = run_network(device, make_lenet5(), kLenet.dsp_budget, kLenet.max_tile);
 
   const long total_cycles =
       print_perf_table("Table III: LeNet performance exploration", run, false);

@@ -4,13 +4,17 @@
 // no HDL is ever written or synthesized.
 //
 // Usage: custom_cnn [arch_def_file] [dsp_budget]
+// Exit status: 0 = both flows ran, 1 = unreadable or malformed definition
+// or a failed flow (the error on stderr), 2 = malformed DSP budget.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/service.h"
+#include "util/env.h"
 #include "util/table.h"
 
 using namespace fpgasim;
@@ -28,22 +32,9 @@ fc f1 out=32
 fc f2 out=4
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string text = kDefaultDef;
-  if (argc > 1) {
-    std::ifstream file(argv[1]);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    text = buffer.str();
-  }
-  const long dsp_budget = argc > 2 ? std::stol(argv[2]) : 64;
-
+/// Parses `text`, runs both flows at `dsp_budget` and prints the
+/// comparison; throws on a malformed definition or a failed flow.
+void run(const std::string& text, long dsp_budget) {
   const Device device = make_xcku5p_sim();
   const CnnModel model = parse_arch_def(text);
   std::printf("network '%s': %zu layers\n", model.name().c_str(), model.layers().size());
@@ -89,5 +80,29 @@ int main(int argc, char** argv) {
   std::fputs(format_critical_path(pre.timing, session.design.netlist, session.design.instances)
                  .c_str(),
              stdout);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string text = kDefaultDef;
+  if (argc > 1) {
+    std::ifstream file(argv[1]);
+    if (!file) {
+      std::fprintf(stderr, "cannot open %s\n", argv[1]);
+      return 1;
+    }
+    std::stringstream buffer;
+    buffer << file.rdbuf();
+    text = buffer.str();
+  }
+  const long dsp_budget = argc > 2 ? count_arg<long>("custom_cnn", "dsp_budget", argv[2]) : 64;
+
+  try {
+    run(text, dsp_budget);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "custom_cnn: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

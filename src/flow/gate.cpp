@@ -7,8 +7,8 @@
 
 namespace fpgasim {
 
-void run_gate(const GateSubject& subject, unsigned stages, const char* after,
-              FindingsReport& drc, double& drc_seconds) {
+double run_gate(const GateSubject& subject, unsigned stages, const char* after,
+                FindingsReport& drc) {
   Stopwatch watch;
   DrcContext ctx;
   ctx.netlist = &subject.netlist;
@@ -16,8 +16,8 @@ void run_gate(const GateSubject& subject, unsigned stages, const char* after,
   ctx.device = &subject.device;
   ctx.instances = subject.instances;
   drc = run_drc(ctx, stages);
-  drc_seconds += watch.seconds();
   enforce(drc, std::string(subject.flow) + " after " + after);
+  return watch.seconds();
 }
 
 }  // namespace fpgasim

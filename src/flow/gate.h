@@ -22,9 +22,9 @@ struct GateSubject {
   const std::vector<InstanceRange>& instances;
 };
 
-/// Runs the DRC rules of `stages` into `drc`, adds its wall time to
-/// `drc_seconds` and throws on errors as "<flow> after <after>".
-void run_gate(const GateSubject& subject, unsigned stages, const char* after,
-              FindingsReport& drc, double& drc_seconds);
+/// Runs the DRC rules of `stages` into `drc` and throws on errors as
+/// "<flow> after <after>"; returns the gate's wall time in seconds.
+double run_gate(const GateSubject& subject, unsigned stages, const char* after,
+                FindingsReport& drc);
 
 }  // namespace fpgasim

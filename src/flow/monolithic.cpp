@@ -32,7 +32,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   const GateSubject gate{"monolithic", device, netlist, phys, flat};
 
   // Clustering + placement over the whole device.
-  Stopwatch stage;
   const Clustering clustering = cluster_netlist(netlist, opt.cluster_size);
   std::vector<PlaceItem> items;
   std::vector<PlaceNet> nets;
@@ -52,18 +51,11 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
   sa.moves_per_item = kMovesPerItem;
   const SaResult placement = place_sa(device, items, nets, sa);
   assign_cells_to_tiles(device, netlist, clustering, placement, sa, phys);
-  report.place_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place,
-           report.drc_seconds);
+  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place);
 
   // Full routing.
-  stage.restart();
   report.route = route_design(device, netlist, phys, RouteOptions{});
-  report.route_seconds = stage.seconds();
-
-  stage.restart();
   report.timing = run_sta(netlist, phys, device);
-  report.sta_seconds = stage.seconds();
 
   if (opt.phys_opt) {
     // Pass 1: register insertion on wire-dominated connections. The
@@ -170,8 +162,7 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
     }
   }
 
-  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc,
-           report.drc_seconds);
+  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc);
 
   report.stats = netlist.stats();
   report.total_seconds = total.seconds();

@@ -1,7 +1,7 @@
 // The traditional "classic" flow the paper compares against: flat
 // synthesis, clustering, whole-device SA placement, full routing, physical
 // optimization (register insertion + driver replication on failing paths),
-// final STA. Stage wall times are recorded for the productivity
+// final STA. The flow's wall time is recorded for the productivity
 // comparisons (Fig. 6 / Fig. 1a).
 #pragma once
 
@@ -24,10 +24,6 @@ struct MonoOptions {
 };
 
 struct MonoReport {
-  double place_seconds = 0.0;  // clustering + SA placement
-  double route_seconds = 0.0;
-  double sta_seconds = 0.0;
-  double drc_seconds = 0.0;  // both DRC gates together
   double total_seconds = 0.0;  // wall time
 
   NetlistStats stats;        // post-phys-opt

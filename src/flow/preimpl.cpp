@@ -45,7 +45,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   composer.stitch(graph.edges, graph.input_node, output_node);
   out = std::move(composer).finish();
   report.stitch_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural, "compose", report.drc_compose, report.drc_seconds);
+  report.drc_seconds += run_gate(gate, kDrcStructural, "compose", report.drc_compose);
 
   // Component placement: relocation of locked pblocks (Algorithm 1).
   stage.restart();
@@ -59,8 +59,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     report.instances[i].pblock = out.instances[i].footprint;
   }
   report.place_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place,
-           report.drc_seconds);
+  report.drc_seconds +=
+      run_gate(gate, kDrcStructural | kDrcPlacement, "placement", report.drc_place);
 
   // Inter-component routing: only the stitched nets are open; everything
   // inside the components is locked and merely charges wire usage.
@@ -70,8 +70,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     throw std::runtime_error("pre-implemented flow: routing failed: " + report.route.error);
   }
   report.route_seconds = stage.seconds();
-  run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc,
-           report.drc_seconds);
+  report.drc_seconds +=
+      run_gate(gate, kDrcStructural | kDrcPlacement | kDrcRouting, "routing", report.drc);
 
   stage.restart();
   report.timing = run_sta(out.netlist, out.phys, device);

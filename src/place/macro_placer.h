@@ -9,7 +9,7 @@
 // components are unplaced and retried (bounded backtracking).
 //
 // The placer runs several independent starts (the three anchor-ranking
-// modes plus seed-perturbed BFS orders) concurrently on the work-stealing
+// modes plus seed-perturbed BFS orders) concurrently on the
 // ThreadPool; the winner is selected by a deterministic (success, cost,
 // start index) key, so results are byte-identical at any pool width.
 // Candidate anchors are evaluated with an incremental cost kernel

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -177,11 +176,9 @@ EngineStats InferenceEngine::serve(std::uint64_t total_vectors) {
   const std::uint64_t batches = std::max<std::uint64_t>(1, (total_vectors + per_batch - 1) / per_batch);
 
   std::vector<Shard> shards(static_cast<std::size_t>(batches));
-  const auto t0 = std::chrono::steady_clock::now();
   parallel_for(
       0, static_cast<std::size_t>(batches),
       [&](std::size_t b) { run_shard(b, opt_.cycles_per_batch, shards[b]); }, pool_);
-  const auto t1 = std::chrono::steady_clock::now();
 
   // Deterministic merge: fold the per-shard slots in shard order. The
   // checksum merge is order-sensitive (Hasher stream), so a wrong-order
@@ -206,12 +203,6 @@ EngineStats InferenceEngine::serve(std::uint64_t total_vectors) {
   std::size_t resets = 0;
   for (const auto& ctx : contexts_) resets += ctx->resets();
   stats.resets = resets;
-  stats.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  if (stats.wall_seconds > 0) {
-    stats.vectors_per_sec = static_cast<double>(stats.vectors) / stats.wall_seconds;
-    stats.lane_cycles_per_sec =
-        static_cast<double>(stats.lane_cycles) / stats.wall_seconds;
-  }
   return stats;
 }
 

@@ -1,5 +1,5 @@
 // Traffic-scale inference engine: serves batched 64-lane vector streams
-// through a compiled design across the work-stealing thread pool.
+// through a compiled design across the thread pool.
 //
 // The serving model sits directly on the plan/state split in
 // sim/compiled.h: the netlist is compiled ONCE into an immutable SimPlan,
@@ -18,8 +18,8 @@
 // by mix(seed, shard), contexts are reset to the plan's initial state
 // before use, and the merge folds stats in shard order. Every pool width
 // (FPGASIM_THREADS 1, 2, 8, ...) therefore produces byte-identical
-// EngineStats up to wall-clock fields; EngineStats::fingerprint() hashes
-// exactly the width-invariant subset.
+// EngineStats up to its sizing fields (contexts, threads);
+// EngineStats::fingerprint() hashes exactly the width-invariant subset.
 //
 // Statistical golden-model agreement: every `check_every`-th shard also
 // replays one rotating lane of its whole batch through the interpreter
@@ -67,13 +67,10 @@ struct EngineStats {
   std::size_t contexts = 0;
   std::size_t threads = 0;
   std::size_t resets = 0;  // context resets (== batches; telemetry)
-  double wall_seconds = 0.0;
-  double vectors_per_sec = 0.0;
-  double lane_cycles_per_sec = 0.0;
 
   /// Width-invariant digest: hashes the result fields that the
   /// determinism contract pins (vectors, lane_cycles, checksum,
-  /// oracle_checks, batches) and none of the timing/sizing fields.
+  /// oracle_checks, batches) and none of the sizing fields.
   /// Identical across FPGASIM_THREADS widths and context counts.
   std::uint64_t fingerprint() const;
 

@@ -1,20 +1,16 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <string>
 
 #include "util/env.h"
 
 namespace fpgasim {
 namespace {
 
-/// Identity of the current thread inside its owning pool, if any.
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
+/// The pool whose worker the current thread is, if any.
+thread_local const ThreadPool* tls_pool = nullptr;
 
 }  // namespace
 
@@ -23,81 +19,47 @@ std::size_t ThreadPool::default_width() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(ThreadPoolOptions opt) {
-  const std::size_t threads = opt.threads > 0 ? opt.threads : default_width();
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) queues_.push_back(std::make_unique<Queue>());
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = default_width();
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    stop_.store(true);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::on_worker_thread() const { return tls_worker.pool == this; }
+bool ThreadPool::on_worker_thread() const { return tls_pool == this; }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
-  // A worker pushes onto its own deque back (depth-first, cache-warm);
-  // external submitters round-robin across deques.
-  const std::size_t target = on_worker_thread()
-                                 ? tls_worker.index
-                                 : next_.fetch_add(1, std::memory_order_relaxed) %
-                                       queues_.size();
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(packaged));
-  }
-  {
-    // Published under the sleep mutex: a worker that just saw pending_ == 0
-    // holds it until it is inside cv_.wait, so the notify cannot fall
-    // between its check and its sleep (a lost wakeup hangs the caller).
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    pending_.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(packaged));
   }
   cv_.notify_one();
   return future;
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::packaged_task<void()>& out) {
-  const std::size_t n = queues_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    Queue& queue = *queues_[(self + k) % n];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.tasks.empty()) continue;
-    if (k == 0) {  // own deque: LIFO end
-      out = std::move(queue.tasks.back());
-      queue.tasks.pop_back();
-    } else {  // steal: FIFO end, the oldest (largest) work
-      out = std::move(queue.tasks.front());
-      queue.tasks.pop_front();
-    }
-    pending_.fetch_sub(1);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker = WorkerIdentity{this, self};
+void ThreadPool::worker_loop() {
+  tls_pool = this;
   for (;;) {
     std::packaged_task<void()> task;
-    if (try_pop(self, task)) {
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      // Drain before stopping: every submitted future gets its result.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    cv_.wait(lock, [this] { return stop_.load() || pending_.load() > 0; });
-    if (stop_.load() && pending_.load() == 0) return;
+    task();
   }
 }
 
@@ -118,8 +80,8 @@ void parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  // Iteration-level work stealing: every participant claims the next index
-  // from a shared counter, so uneven iteration costs balance out.
+  // Every participant claims the next index from a shared counter, so
+  // uneven iteration costs balance out.
   std::atomic<std::size_t> next{begin};
   auto run = [&fn, &next, end] {
     for (;;) {

@@ -1,5 +1,5 @@
-// Work-stealing thread pool plus a parallel_for helper. Used to
-// pre-implement independent CNN components concurrently (the paper's
+// Thread pool plus a parallel_for helper. Used to pre-implement
+// independent CNN components concurrently (the paper's
 // function-optimization stage is embarrassingly parallel).
 //
 // Determinism contract: the pool only schedules; any result computed
@@ -10,37 +10,28 @@
 // calling thread — exactly the serial loop.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace fpgasim {
 
-struct ThreadPoolOptions {
-  /// Worker count. 0 selects the FPGASIM_THREADS environment variable when
-  /// it is set to a positive integer, else hardware_concurrency (min 1).
-  std::size_t threads = 0;
-};
-
 class ThreadPool {
  public:
-  explicit ThreadPool(ThreadPoolOptions opt = {});
-  explicit ThreadPool(std::size_t threads) : ThreadPool(ThreadPoolOptions{threads}) {}
+  /// `threads` workers; 0 selects default_width().
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; the returned future reports completion/exceptions.
-  /// From a worker thread the task lands on that worker's own deque (depth
-  /// first); idle workers steal from the opposite end of other deques.
+  /// Enqueues a task at the back of the pool's one FIFO queue; the returned
+  /// future reports completion/exceptions.
   std::future<void> submit(std::function<void()> task);
 
   std::size_t size() const { return workers_.size(); }
@@ -48,37 +39,29 @@ class ThreadPool {
   /// True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const;
 
-  /// Resolved automatic width: FPGASIM_THREADS when set, else
-  /// hardware_concurrency (min 1).
+  /// Resolved automatic width: FPGASIM_THREADS when set to a positive
+  /// integer, else hardware_concurrency (min 1).
   static std::size_t default_width();
 
   /// Process-wide shared pool (width: default_width()).
   static ThreadPool& global();
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::packaged_task<void()>> tasks;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::packaged_task<void()>& out);
-
-  std::vector<std::unique_ptr<Queue>> queues_;  // one deque per worker
-  std::vector<std::thread> workers_;
-  std::mutex sleep_mutex_;
+  std::mutex mutex_;  // guards tasks_ and stop_
   std::condition_variable cv_;
-  std::atomic<std::size_t> pending_{0};  // queued, not yet popped
-  std::atomic<std::size_t> next_{0};     // round-robin for external submits
-  std::atomic<bool> stop_{false};
+  std::deque<std::packaged_task<void()>> tasks_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
 };
 
 /// Runs fn(i) for i in [begin, end) across the pool; blocks until done.
-/// Iterations are claimed from a shared counter (work stealing at the
-/// iteration level), so per-iteration cost imbalance does not serialize.
-/// Exceptions from iterations are rethrown (first one wins). On a width-1
-/// pool — or when called from inside a pool worker — the loop runs inline,
-/// serially and in index order, on the calling thread.
+/// Iterations are claimed from a shared counter, so per-iteration cost
+/// imbalance does not serialize. Exceptions from iterations are rethrown
+/// (first one wins). On a width-1 pool — or when called from inside a pool
+/// worker — the loop runs inline, serially and in index order, on the
+/// calling thread.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr);

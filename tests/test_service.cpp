@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,7 +19,6 @@
 #include "flow/build.h"
 #include "flow/service.h"
 #include "flow/store.h"
-#include "util/latch.h"
 
 namespace fpgasim {
 namespace {
@@ -75,7 +75,7 @@ pool p2 k=2
       CompileService& service, const std::vector<int>& picks) {
     std::vector<CompileService::SessionResult> results(picks.size());
     std::vector<std::string> errors(picks.size());
-    Latch start(picks.size() + 1);
+    std::latch start(picks.size() + 1);
     std::vector<std::thread> threads;
     threads.reserve(picks.size());
     for (std::size_t s = 0; s < picks.size(); ++s) {
@@ -227,7 +227,7 @@ TEST(CheckpointStore, ConcurrentDiskLoadsAreDeduplicated) {
     CheckpointStore store(opt);
     constexpr std::size_t kReaders = 8;
     std::vector<std::shared_ptr<const Checkpoint>> got(kReaders);
-    Latch start(kReaders + 1);
+    std::latch start(kReaders + 1);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kReaders; ++t) {
       threads.emplace_back([&, t] {
@@ -284,7 +284,7 @@ conv c1 out=16 k=3
 
     constexpr std::size_t kSessions = 4;
     std::vector<std::exception_ptr> errors(kSessions);
-    Latch start(kSessions + 1);
+    std::latch start(kSessions + 1);
     std::vector<std::thread> threads;
     for (std::size_t s = 0; s < kSessions; ++s) {
       threads.emplace_back([&, s] {

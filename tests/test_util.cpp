@@ -114,7 +114,7 @@ TEST(ThreadPool, PropagatesExceptions) {
 TEST(ThreadPool, EnvVariableControlsAutomaticWidth) {
   setenv("FPGASIM_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::default_width(), 3u);
-  ThreadPool pool{ThreadPoolOptions{}};
+  ThreadPool pool;
   EXPECT_EQ(pool.size(), 3u);
   unsetenv("FPGASIM_THREADS");
   const std::size_t automatic = ThreadPool::default_width();
@@ -135,10 +135,10 @@ TEST(ThreadPool, ExplicitWidthBeatsEnvironment) {
   unsetenv("FPGASIM_THREADS");
 }
 
-TEST(ThreadPool, IdleWorkerStealsFromBusyWorkerQueue) {
-  // External submits round-robin across the two deques, so some quick
-  // tasks land behind the blocker. They can only run if the other worker
-  // steals them — and the blocker is only released once they all ran.
+TEST(ThreadPool, QuickTasksNeverWaitBehindABlockedWorker) {
+  // One worker blocks on the gate; the 16 quick tasks queued after it can
+  // only run on the other worker — and the blocker is only released once
+  // they all ran.
   ThreadPool pool(2);
   std::promise<void> unblock;
   std::shared_future<void> gate = unblock.get_future().share();

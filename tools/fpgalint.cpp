@@ -22,7 +22,6 @@
 #include "flow/service.h"
 #include "lint/lint.h"
 #include "netlist/checkpoint.h"
-#include "util/env.h"
 #include "util/json.h"
 
 namespace {
@@ -38,7 +37,6 @@ void usage(std::FILE* to) {
                "  --model NAME   lint the composed design of a bundled network\n"
                "                 (%s)\n"
                "                 built through the pre-implemented flow\n"
-               "  --dsp N        DSP budget for --model (default 64)\n"
                "  --rules        print the rule table and exit\n"
                "  -h, --help     this message\n",
                fpgasim::zoo_model_names().c_str());
@@ -58,7 +56,6 @@ int main(int argc, char** argv) {
 
   bool json = false;
   std::string model_name;
-  long dsp_budget = -1;  // -1: per-model default
   CheckOptions options;
   std::vector<std::string> paths;
 
@@ -70,8 +67,6 @@ int main(int argc, char** argv) {
       options.waived_rules.emplace_back(argv[++i]);
     } else if (arg == "--model" && i + 1 < argc) {
       model_name = argv[++i];
-    } else if (arg == "--dsp" && i + 1 < argc) {
-      dsp_budget = count_arg<long>("fpgalint", arg, argv[++i]);
     } else if (arg == "--rules") {
       print_rules();
       return 0;
@@ -135,10 +130,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     const CnnModel model = entry->make();
-    const int max_tile = entry->max_tile;
-    if (dsp_budget < 0) dsp_budget = entry->dsp_budget;
     const Device device = make_xcku5p_sim();
-    const ModelImpl impl = choose_implementation(model, dsp_budget, max_tile);
+    const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
     const std::vector<std::vector<int>> groups = default_grouping(model);
     CheckpointStore store;
     CompileService service(device, store);

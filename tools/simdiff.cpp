@@ -37,7 +37,6 @@ void usage(std::FILE* to) {
                "  --model NAME   check a bundled network (%s)\n"
                "                 composed through the pre-implemented flow\n"
                "  --mono         with --model, also check the monolithic baseline\n"
-               "  --dsp N        DSP budget for --model (default per model)\n"
                "  --cycles N     cycles of random stimulus (default 32)\n"
                "  --vectors N    size the run in inference vectors instead: the cycle\n"
                "                 count becomes ceil(N / 64) (one 64-lane frame per\n"
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
 
   std::string model_name;
   bool mono = false;
-  long dsp_budget = -1;
   int cycles = 32;
   std::uint64_t vectors = 0;  // 0 = use --cycles directly
   std::uint64_t seed = 1;
@@ -69,8 +67,6 @@ int main(int argc, char** argv) {
       model_name = argv[++i];
     } else if (arg == "--mono") {
       mono = true;
-    } else if (arg == "--dsp" && i + 1 < argc) {
-      dsp_budget = count_arg<long>("simdiff", arg, argv[++i]);
     } else if (arg == "--cycles" && i + 1 < argc) {
       cycles = count_arg<int>("simdiff", arg, argv[++i], 1);
     } else if (arg == "--vectors" && i + 1 < argc) {
@@ -135,11 +131,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     const CnnModel model = entry->make();
-    const int max_tile = entry->max_tile;
-    if (dsp_budget < 0) dsp_budget = entry->dsp_budget;
     try {
       const Device device = make_xcku5p_sim();
-      const ModelImpl impl = choose_implementation(model, dsp_budget, max_tile);
+      const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
       const std::vector<std::vector<int>> groups = default_grouping(model);
       CheckpointStore store;
       CompileService service(device, store);
